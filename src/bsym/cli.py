@@ -21,11 +21,13 @@ from .polyring import Word, field_word
 
 def parse_range(text: str):
     """Inclusive `a..b` range, or a single value."""
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return int(lo), int(hi)
-    v = int(text)
-    return v, v
+    lo, sep, hi = text.partition("..")
+    try:
+        return int(lo), int(hi if sep else lo)
+    except ValueError:
+        raise UsageError(
+            f"cannot parse range {text!r}: expected a..b or an integer"
+        ) from None
 
 
 def parse_generic_word(text: str) -> Word:
@@ -128,6 +130,12 @@ def _cmd_dist(args) -> int:
     return 0 if match else 2
 
 
+def _cap(args) -> int:
+    if args.cap is None:
+        return codes.enumeration_cap()
+    return codes.check_cap(args.cap, "--cap")
+
+
 def _make_spec(args) -> CyclicCodeSpec:
     modulus = parse_modulus(args.modulus) if args.modulus else None
     f = make_field(args.p, args.m, modulus)
@@ -155,7 +163,7 @@ def _emit_records(records, fmt: str, out_path):
 
 def _cmd_code(args) -> int:
     spec = _make_spec(args)
-    cap = args.cap if args.cap is not None else codes.enumeration_cap()
+    cap = _cap(args)
     rec = build_record(spec, args.b, cap, with_brute=args.method in ("brute", "both"))
     if args.format == "plain":
         d = record_to_dict(rec)
@@ -171,7 +179,7 @@ def _cmd_table(args) -> int:
     n = args.p ** args.e
     b_lo, b_hi = parse_range(args.b)
     i_lo, i_hi = parse_range(args.i) if args.i else (0, n)
-    cap = args.cap if args.cap is not None else codes.enumeration_cap()
+    cap = _cap(args)
     records = []
     for i in range(i_lo, i_hi + 1):
         spec = CyclicCodeSpec(f, args.e, i)
@@ -185,7 +193,8 @@ def _cmd_verify(args) -> int:
     cfg = verify.SuiteConfig(
         seed=args.seed,
         trials=args.trials,
-        cap=args.cap if args.cap is not None else codes.DEFAULT_CAP,
+        cap=codes.DEFAULT_CAP if args.cap is None
+        else codes.check_cap(args.cap, "--cap"),
     )
     reports = verify.run_suites(cfg, args.suite)
     print(verify.report_json(reports))

@@ -60,6 +60,12 @@ class EnumerationTooLargeError(BsymError):
         self.cap = cap
 
 
+class InvalidCapError(BsymError):
+    def __init__(self, source, value):
+        super().__init__(f"{source} must be an integer >= 1, got {value!r}")
+        self.value = value
+
+
 class DegreeTooLargeError(BsymError):
     """deg(g) violates the weight-decomposition precondition."""
 

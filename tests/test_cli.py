@@ -132,3 +132,28 @@ def test_cap_env_override(monkeypatch, capsys):
 def test_bad_word(capsys):
     code, _, err = run(capsys, "dist", "--b", "2", "--x", "1,zz", "--y", "0,0")
     assert code == 1 and "usage error" in err
+
+
+@pytest.mark.parametrize("value", ["abc", "-1", "0", "1.5"])
+def test_bad_cap_env_rejected(monkeypatch, capsys, value):
+    monkeypatch.setenv("BSYM_CAP", value)
+    code, out, err = run(capsys, "code", "--p", "3", "--e", "2", "--i", "4",
+                         "--b", "2", "--method", "brute")
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "BSYM_CAP" in err
+    assert "above the enumeration cap" not in err
+
+
+def test_bad_cap_option_rejected(capsys):
+    code, _, err = run(capsys, "table", "--p", "2", "--e", "2", "--b", "2",
+                       "--cap", "0")
+    assert code == 1 and err.count("\n") == 1 and "--cap" in err
+
+
+@pytest.mark.parametrize("option", ["--b", "--i"])
+def test_table_bad_range(capsys, option):
+    ranges = {"--b": "2..3", "--i": "0..9", option: "2..x"}
+    code, out, err = run(capsys, "table", "--p", "3", "--e", "2",
+                         "--b", ranges["--b"], "--i", ranges["--i"])
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "usage error" in err and "2..x" in err

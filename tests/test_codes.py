@@ -1,7 +1,10 @@
 import itertools
+from collections import Counter
+from functools import lru_cache
 
 import pytest
 
+from bsym import codes
 from bsym.bsymbol import weight_b_oracle
 from bsym.codes import (
     CyclicCodeSpec,
@@ -24,7 +27,8 @@ from bsym.errors import (
     WidthTooLargeError,
 )
 from bsym.gf import make_field
-from bsym.polyring import poly, to_word, xminus1_pow
+from bsym.polyring import Word, poly, to_word, xminus1_pow
+from bsym.verify import DEFAULT_GRID
 
 Z2 = make_field(2)
 Z3 = make_field(3)
@@ -110,6 +114,102 @@ def test_min_b_weight_spot_rows(i, b, expected):
 def test_min_b_weight_width_error():
     with pytest.raises(WidthOutOfRangeError):
         min_b_weight_bruteforce(spec(Z3, 2, 3), 10)
+
+
+def test_cap_checked_before_cached_minima():
+    s = spec(Z3, 2, 4)
+    assert min_b_weight_bruteforce(s, 2) == 6
+    with pytest.raises(EnumerationTooLargeError):
+        min_b_weight_bruteforce(s, 2, cap=100)
+    with pytest.raises(EnumerationTooLargeError):
+        min_hamming_weight_bruteforce(s, cap=100)
+
+
+# --- Gray-code engine vs the enumeration reference -------------------------
+
+# every spec of the verify grid, plus odd-p and extension-field codes
+CROSS_CHECK_SPECS = [
+    (p, e, m, i) for p, e, m in DEFAULT_GRID for i in range(p ** e + 1)
+] + [(3, 2, 2, i) for i in range(5, 10)] + [(2, 3, 2, i) for i in range(2, 9)]
+
+
+@lru_cache(maxsize=None)
+def _reference(p, e, m, i):
+    """(multiset of nonzero supports, (0, d_1, ..., d_n)) via enumerate_codewords
+    and weight_b_oracle; the minimum over no nonzero codeword is 0."""
+    s = spec(make_field(p, m), e, i)
+    n = s.n
+    supports = Counter(
+        sum(1 << j for j in w.support())
+        for w in enumerate_codewords(s)
+        if w.hamming_weight()
+    )
+    words = [Word(tuple((mask >> j) & 1 for j in range(n))) for mask in supports]
+    minima = tuple(
+        min((weight_b_oracle(w, b) for w in words), default=0) for b in range(1, n + 1)
+    )
+    return supports, (0,) + minima
+
+
+def _unpack(mask, p, n):
+    bits = codes._packing(p, n)[0]
+    return sum(1 << j for j in range(n) if (mask >> (bits * j + bits - 1)) & 1)
+
+
+@pytest.mark.parametrize("p,e,m,i", CROSS_CHECK_SPECS)
+def test_gray_walk_yields_every_nonzero_support_once(p, e, m, i):
+    s = spec(make_field(p, m), e, i)
+    walked = [_unpack(mask, p, s.n) for mask in codes._gray_supports(s)]
+    assert len(walked) == s.size - 1
+    assert Counter(walked) == _reference(p, e, m, i)[0]
+
+
+@pytest.mark.parametrize("p,e,m,i", CROSS_CHECK_SPECS)
+def test_engine_minima_match_reference_for_every_b(p, e, m, i):
+    s = spec(make_field(p, m), e, i)
+    expected = _reference(p, e, m, i)[1]
+    assert min_hamming_weight_bruteforce(s) == expected[1]
+    for b in range(1, s.n + 1):
+        assert min_b_weight_bruteforce(s, b) == expected[b], b
+
+
+@pytest.mark.parametrize("f,e,i,walked", [
+    (Z3, 2, 0, 1),               # a weight-1 word puts every d_b at its floor b
+    (Z3, 2, 1, 3 ** 8 - 1),
+    (Z2, 3, 3, 2 ** 5 - 1),
+    (make_field(2, 2), 2, 1, 4 ** 3 - 1),
+])
+def test_engine_stops_early_only_when_every_b_floors(monkeypatch, f, e, i, walked):
+    seen = []
+    walk = codes._gray_supports
+
+    def counting(s):
+        for support in walk(s):
+            seen.append(support)
+            yield support
+
+    monkeypatch.setattr(codes, "_gray_supports", counting)
+    codes._min_weights.__wrapped__(spec(f, e, i))
+    assert len(seen) == walked
+
+
+# codes too large for the old enumeration; Thm11 with k >= 2 fires on them
+@pytest.mark.parametrize(
+    "p,e,i_lo,thm11_k",
+    [(2, 4, 0, 3), (3, 3, 18, 2), (5, 2, 19, None), (2, 5, 16, 3)],
+)
+def test_build_record_consistent_on_larger_codes(p, e, i_lo, thm11_k):
+    f = make_field(p)
+    thm11_ks = set()
+    for i in range(i_lo, p ** e + 1):
+        s = spec(f, e, i)
+        for b in range(2, 7):
+            rec = build_record(s, b)
+            assert rec.db_brute is not None and rec.consistent, (p, e, i, b)
+            if rec.db_closed.rule == "Thm11":
+                thm11_ks.update(k for k, _ in rec.db_closed.params_echo["decompositions"])
+    if thm11_k is not None:
+        assert thm11_k in thm11_ks
 
 
 # --- closed forms ----------------------------------------------------------
