@@ -19,7 +19,7 @@ f = make_field(3)
 e, k = 2, 1
 period = 3 ** (e - k)
 
-g = poly(f, [-1, 1])  # x - 1
+g = poly(f, [2, 1])  # x - 1 over F_3
 c_word = lemma10_codeword(f, e, k, g)
 print(f"g(x) = {g}")
 print(f"c(x) = (x-1)^{9 - 3} * g(x) as a word: {c_word}")

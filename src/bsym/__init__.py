@@ -26,19 +26,15 @@ from .codes import (
     lemma10_weight,
     min_b_weight_bruteforce,
 )
-from .gf import FieldElement, FieldParams, enumerate_elements, make_field
+from .gf import FieldParams, make_field
 from .polyring import (
     Poly,
     Word,
     cyclic_shift,
-    field_word,
-    from_word,
     poly,
     poly_add,
-    poly_mod,
     poly_mul,
     to_word,
-    word,
     xminus1_pow,
 )
 

@@ -20,7 +20,7 @@ from .errors import (
     LengthMismatchError,
     WidthOutOfRangeError,
 )
-from .polyring import Word, word_sub
+from .polyring import Word
 
 
 @dataclass(frozen=True)
@@ -72,11 +72,10 @@ def weight_b_oracle(x: Word, b: int) -> int:
     n = x.n
     _check_width(b, n)
     s = x.symbols
-    z = x.zero
     count = 0
     for j in range(n):
         for t in range(b):
-            if s[(j + t) % n] != z:
+            if s[(j + t) % n] != 0:
                 count += 1
                 break
     return count
@@ -174,18 +173,11 @@ def dist_b_formula(x: Word, y: Word, b: int) -> int:
 
 
 def weight_b_formula(x: Word, b: int) -> int:
-    zero_word = Word((x.zero,) * x.n, x.zero, x.field)
-    return dist_b_formula(x, zero_word, b)
+    return dist_b_formula(x, Word((0,) * x.n), b)
 
 
 def weight_run_partition(x: Word, b: int) -> RunPartition:
-    zero_word = Word((x.zero,) * x.n, x.zero, x.field)
-    return run_partition(x, zero_word, b)
-
-
-def dist_b_via_difference(x: Word, y: Word, b: int) -> int:
-    """d_b over a field via the linearity identity d_b(x,y) = w_b(x - y)."""
-    return weight_b_oracle(word_sub(x, y), b)
+    return run_partition(x, Word((0,) * x.n), b)
 
 
 def check_bounds(x: Word, b: int):

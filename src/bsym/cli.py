@@ -16,7 +16,7 @@ from .bsymbol import dist_b_formula, dist_b_oracle, pi_b
 from .codes import CyclicCodeSpec, build_record, record_to_dict
 from .errors import BsymError, UsageError
 from .gf import make_field
-from .polyring import Word, field_word
+from .polyring import Word
 
 
 def parse_range(text: str):
@@ -37,18 +37,13 @@ def parse_generic_word(text: str) -> Word:
         raise UsageError(f"cannot parse word {text!r}: {exc}") from None
 
 
-def parse_field_word(f, text: str) -> Word:
-    symbols = []
-    for token in text.split(","):
-        if ":" in token:
-            symbols.append(f.element([int(c) for c in token.split(":")]))
-        else:
-            symbols.append(f.from_int(int(token)))
-    return field_word(f, symbols)
-
-
 def parse_modulus(text: str):
-    return [int(c) for c in text.split(",")]
+    try:
+        return [int(c) for c in text.split(",")]
+    except ValueError:
+        raise UsageError(
+            f"cannot parse modulus {text!r}: expected comma-separated integers"
+        ) from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -136,10 +131,9 @@ def _cap(args) -> int:
     return codes.check_cap(args.cap, "--cap")
 
 
-def _make_spec(args) -> CyclicCodeSpec:
+def _make_field(args):
     modulus = parse_modulus(args.modulus) if args.modulus else None
-    f = make_field(args.p, args.m, modulus)
-    return CyclicCodeSpec(f, args.e, args.i)
+    return make_field(args.p, args.m, modulus)
 
 
 def _emit_records(records, fmt: str, out_path):
@@ -162,7 +156,7 @@ def _emit_records(records, fmt: str, out_path):
 
 
 def _cmd_code(args) -> int:
-    spec = _make_spec(args)
+    spec = CyclicCodeSpec(_make_field(args), args.e, args.i)
     cap = _cap(args)
     rec = build_record(spec, args.b, cap, with_brute=args.method in ("brute", "both"))
     if args.format == "plain":
@@ -174,9 +168,8 @@ def _cmd_code(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    modulus = parse_modulus(args.modulus) if args.modulus else None
-    f = make_field(args.p, args.m, modulus)
-    n = args.p ** args.e
+    f = _make_field(args)
+    n = CyclicCodeSpec(f, args.e, 0).n  # validates e before the i range is built
     b_lo, b_hi = parse_range(args.b)
     i_lo, i_hi = parse_range(args.i) if args.i else (0, n)
     cap = _cap(args)
@@ -190,12 +183,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    cfg = verify.SuiteConfig(
-        seed=args.seed,
-        trials=args.trials,
-        cap=codes.DEFAULT_CAP if args.cap is None
-        else codes.check_cap(args.cap, "--cap"),
-    )
+    cfg = verify.SuiteConfig(seed=args.seed, trials=args.trials, cap=_cap(args))
     reports = verify.run_suites(cfg, args.suite)
     print(verify.report_json(reports))
     return 0 if all(r.passed for r in reports.values()) else 2

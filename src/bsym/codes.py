@@ -20,18 +20,19 @@ import os
 from dataclasses import dataclass
 from functools import lru_cache
 
-from . import gf, polyring
+from . import gf
 from .bsymbol import weight_b_oracle
 from .errors import (
     DegreeTooLargeError,
     EnumerationTooLargeError,
     IndexOutOfRangeError,
     InvalidCapError,
+    InvalidParameterError,
     WidthOutOfRangeError,
     WidthTooLargeError,
 )
 from .gf import FieldParams
-from .polyring import Poly, Word, poly, poly_mul, to_word, xminus1_pow
+from .polyring import Poly, Word, poly_mul, to_word, xminus1_pow
 
 DEFAULT_CAP = 2 ** 22
 
@@ -61,7 +62,7 @@ class CyclicCodeSpec:
 
     def __post_init__(self):
         if self.e < 1:
-            raise ValueError(f"e={self.e} must be >= 1")
+            raise InvalidParameterError(f"e={self.e} must be >= 1")
         if not (0 <= self.i <= self.n):
             raise IndexOutOfRangeError(f"i={self.i} outside [0, {self.n}]")
 
@@ -139,11 +140,15 @@ def hamming_distance_formula(spec: CyclicCodeSpec) -> int:
     raise AssertionError(f"no branch matched i={i} (p={p}, e={e})")  # unreachable
 
 
+def _refuse_above_cap(spec: CyclicCodeSpec, cap: int):
+    if spec.size > cap:
+        raise EnumerationTooLargeError(spec.field.q, spec.k_dim, cap)
+
+
 def enumerate_codewords(spec: CyclicCodeSpec, cap: int | None = None):
     """All q^{k_dim} codewords as Words, in deterministic message order."""
     cap = enumeration_cap() if cap is None else cap
-    if spec.size > cap:
-        raise EnumerationTooLargeError(spec.size, cap)
+    _refuse_above_cap(spec, cap)
     f = spec.field
     n = spec.n
     gen_word = to_word(spec.generator(), n).symbols
@@ -151,22 +156,18 @@ def enumerate_codewords(spec: CyclicCodeSpec, cap: int | None = None):
     shifts = []
     for j in range(spec.k_dim):
         shifts.append(tuple(gen_word[(t - j) % n] for t in range(n)))
-    elements = gf.enumerate_elements(f)
-    zero = f.zero
 
     def rec(j, acc):
         if j == spec.k_dim:
-            yield Word(tuple(acc), zero, f)
+            yield Word(tuple(acc))
             return
-        for el in elements:
-            if el.is_zero():
-                yield from rec(j + 1, acc)
-            else:
-                row = shifts[j]
-                nxt = [gf.add(a, gf.mul(el, r)) for a, r in zip(acc, row)]
-                yield from rec(j + 1, nxt)
+        yield from rec(j + 1, acc)
+        row = shifts[j]
+        for el in range(1, f.q):
+            nxt = [gf.add(f, a, gf.mul(f, el, r)) for a, r in zip(acc, row)]
+            yield from rec(j + 1, nxt)
 
-    yield from rec(0, [zero] * n)
+    yield from rec(0, [0] * n)
 
 
 def _packing(p: int, n: int):
@@ -206,8 +207,9 @@ def _gray_supports(spec: CyclicCodeSpec):
     """Yield the support of every nonzero codeword of C_i exactly once.
 
     The code is walked over its F_p-basis beta_l * x^j * (x-1)^i (l < m,
-    j < k_dim).  The generator has prime-subfield coefficients, so each
-    basis row lives in the single coefficient plane l of F_{p^m}.  Planes are
+    j < k_dim).  The generator has prime-subfield coefficients (the ints
+    0..p-1), so each basis row lives in the single coefficient plane l of
+    F_{p^m}.  Planes are
     packed into ints with W bits per position (see _packing), and each
     Gray step adds one row to one plane: an XOR for p = 2, otherwise a SWAR
     add reduced mod p (the bias makes a field's top bit flag a sum >= p).
@@ -222,7 +224,7 @@ def _gray_supports(spec: CyclicCodeSpec):
     reduce_bias = ones * ((1 << (bits - 1)) - p)
     row = 0
     for t, sym in enumerate(to_word(spec.generator(), n).symbols):
-        row |= sym.coeffs[0] << (bits * t)
+        row |= sym << (bits * t)
     shifts = [
         ((row << bits * j) | (row >> span - bits * j)) & full
         for j in range(spec.k_dim)
@@ -272,11 +274,6 @@ def _min_weights(spec: CyclicCodeSpec) -> tuple:
         if not above_floor:
             break
     return tuple(best)
-
-
-def _refuse_above_cap(spec: CyclicCodeSpec, cap: int):
-    if spec.size > cap:
-        raise EnumerationTooLargeError(spec.size, cap)
 
 
 def min_hamming_weight_bruteforce(spec: CyclicCodeSpec, cap: int | None = None) -> int:
@@ -384,7 +381,7 @@ def lemma10_weight(f: FieldParams, e: int, k: int, g: Poly, b: int) -> int:
         raise WidthTooLargeError(f"b={b} must be <= p^(e-k) = {period}")
     w_b_g = weight_b_oracle(to_word(g, n), b)
     a = 0
-    while g.coeff(a).is_zero():
+    while g.coeff(a) == 0:
         a += 1
     if d <= period - b or a >= b - period + d:
         return p ** k * w_b_g

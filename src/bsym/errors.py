@@ -26,6 +26,17 @@ class NoDefaultModulusError(BsymError):
         self.m = m
 
 
+class InvalidParameterError(BsymError, ValueError):
+    """A code or field parameter (e, m, trials) below its minimum."""
+
+
+class NotAnElementError(BsymError, ValueError):
+    def __init__(self, value, field):
+        super().__init__(f"coefficient {value!r} is not an element of {field!r}: "
+                         f"expected an int in range({field.q})")
+        self.value = value
+
+
 class FieldMismatchError(BsymError):
     """Operands belong to different fields."""
 
@@ -54,9 +65,14 @@ class IndexOutOfRangeError(BsymError):
 
 
 class EnumerationTooLargeError(BsymError):
-    def __init__(self, size, cap):
-        super().__init__(f"code has {size} codewords, above the enumeration cap {cap}")
-        self.size = size
+    """A code of q^k_dim codewords above the cap; the count is shown as a power."""
+
+    def __init__(self, q, k_dim, cap):
+        super().__init__(
+            f"code has {q}^{k_dim} codewords, above the enumeration cap {cap}"
+        )
+        self.q = q
+        self.k_dim = k_dim
         self.cap = cap
 
 

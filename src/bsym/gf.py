@@ -1,22 +1,20 @@
 """Arithmetic in Z_p and in the extension field F_{p^m}.
 
-Elements are coefficient vectors of length m over Z_p, constant term first,
-reduced modulo a monic irreducible polynomial of degree m.  For m = 1 the
-modulus is the trivial degree-1 polynomial x and elements are single digits.
-
-The element order produced by :func:`enumerate_elements` is lexicographic on
-the coefficient tuple (constant term compared first), so the zero element is
-always first.  All sweeps in the package rely on this fixed order.
+An element of F_{p^m} is an int in range(q), q = p^m, whose base-p digits are
+the coefficients of a polynomial over Z_p of degree < m, constant term in the
+lowest digit, reduced modulo a monic irreducible polynomial of degree m.  The
+prime subfield is 0..p-1, and for m = 1 an element is its residue mod p, so
+range(q) lists every element with zero first.  The operations are module
+functions taking the field first: add(f, a, b), mul(f, a, b), ...
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import (
     DivisionByZeroError,
-    FieldMismatchError,
+    InvalidParameterError,
     NoDefaultModulusError,
     NonPrimeError,
     NotIrreducibleError,
@@ -96,71 +94,10 @@ class FieldParams:
     def q(self) -> int:
         return self.p ** self.m
 
-    @cached_property
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, (0,) * self.m)
-
-    @cached_property
-    def one(self) -> "FieldElement":
-        return FieldElement(self, (1,) + (0,) * (self.m - 1))
-
-    def element(self, coeffs) -> "FieldElement":
-        coeffs = tuple(int(c) % self.p for c in coeffs)
-        if len(coeffs) != self.m:
-            raise ValueError(f"expected {self.m} coefficients, got {len(coeffs)}")
-        return FieldElement(self, coeffs)
-
-    def from_int(self, value: int) -> "FieldElement":
-        """Prime-subfield element from an integer (reduced mod p); m=1 shortcut."""
-        c = [0] * self.m
-        c[0] = value % self.p
-        return FieldElement(self, tuple(c))
-
-    # index <-> coefficients; index order matches enumerate_elements
-    def index_of(self, a: "FieldElement") -> int:
-        idx = 0
-        for c in a.coeffs:
-            idx = idx * self.p + c
-        return idx
-
-    def from_index(self, idx: int) -> "FieldElement":
-        digits = []
-        for _ in range(self.m):
-            digits.append(idx % self.p)
-            idx //= self.p
-        return FieldElement(self, tuple(reversed(digits)))
-
     def __repr__(self):
         if self.m == 1:
             return f"GF({self.p})"
         return f"GF({self.p}^{self.m})"
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    field: FieldParams
-    coeffs: tuple  # m ints in [0, p), constant term first
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __str__(self):
-        return ":".join(str(c) for c in self.coeffs)
-
-    def __repr__(self):
-        return f"<{self} in {self.field!r}>"
 
 
 def make_field(p: int, m: int = 1, modulus=None) -> FieldParams:
@@ -168,7 +105,7 @@ def make_field(p: int, m: int = 1, modulus=None) -> FieldParams:
     if not is_prime(p):
         raise NonPrimeError(p)
     if m < 1:
-        raise ValueError(f"extension degree m={m} must be >= 1")
+        raise InvalidParameterError(f"extension degree m={m} must be >= 1")
     if m == 1:
         return FieldParams(p, 1, (0, 1))
     if modulus is None:
@@ -181,63 +118,67 @@ def make_field(p: int, m: int = 1, modulus=None) -> FieldParams:
     return FieldParams(p, m, modulus)
 
 
-def _check_same(a: FieldElement, b: FieldElement):
-    if a.field != b.field:
-        raise FieldMismatchError(f"{a.field!r} vs {b.field!r}")
+def _digits(f: FieldParams, a: int) -> list:
+    """The m base-p digits of a, constant term first."""
+    out = []
+    for _ in range(f.m):
+        a, d = divmod(a, f.p)
+        out.append(d)
+    return out
 
 
-def add(a: FieldElement, b: FieldElement) -> FieldElement:
-    _check_same(a, b)
-    p = a.field.p
-    return FieldElement(a.field, tuple((x + y) % p for x, y in zip(a.coeffs, b.coeffs)))
+def _element(p: int, digits) -> int:
+    a = 0
+    for d in reversed(digits):
+        a = a * p + d
+    return a
 
 
-def sub(a: FieldElement, b: FieldElement) -> FieldElement:
-    _check_same(a, b)
-    p = a.field.p
-    return FieldElement(a.field, tuple((x - y) % p for x, y in zip(a.coeffs, b.coeffs)))
+def add(f: FieldParams, a: int, b: int) -> int:
+    p = f.p
+    if f.m == 1:
+        return (a + b) % p
+    return _element(p, [(x + y) % p for x, y in zip(_digits(f, a), _digits(f, b))])
 
 
-def neg(a: FieldElement) -> FieldElement:
-    p = a.field.p
-    return FieldElement(a.field, tuple((-x) % p for x in a.coeffs))
+def sub(f: FieldParams, a: int, b: int) -> int:
+    p = f.p
+    if f.m == 1:
+        return (a - b) % p
+    return _element(p, [(x - y) % p for x, y in zip(_digits(f, a), _digits(f, b))])
 
 
-def mul(a: FieldElement, b: FieldElement) -> FieldElement:
-    _check_same(a, b)
-    f = a.field
+def neg(f: FieldParams, a: int) -> int:
+    return sub(f, 0, a)
+
+
+def mul(f: FieldParams, a: int, b: int) -> int:
     p, m = f.p, f.m
     if m == 1:
-        return FieldElement(f, ((a.coeffs[0] * b.coeffs[0]) % p,))
+        return (a * b) % p
     prod = [0] * (2 * m - 1)
-    for i, x in enumerate(a.coeffs):
+    b_digits = _digits(f, b)
+    for i, x in enumerate(_digits(f, a)):
         if x:
-            for j, y in enumerate(b.coeffs):
+            for j, y in enumerate(b_digits):
                 prod[i + j] = (prod[i + j] + x * y) % p
-    rem = _zp_mod(prod, list(f.modulus), p)
-    rem += [0] * (m - len(rem))
-    return FieldElement(f, tuple(rem))
+    return _element(p, _zp_mod(prod, f.modulus, p))
 
 
-def pow_(a: FieldElement, k: int) -> FieldElement:
+def pow_(f: FieldParams, a: int, k: int) -> int:
     if k < 0:
         raise ValueError("exponent must be >= 0")
-    result = a.field.one
+    result = 1
     base = a
     while k:
         if k & 1:
-            result = mul(result, base)
-        base = mul(base, base)
+            result = mul(f, result, base)
+        base = mul(f, base, base)
         k >>= 1
     return result
 
 
-def inv(a: FieldElement) -> FieldElement:
-    if a.is_zero():
+def inv(f: FieldParams, a: int) -> int:
+    if a == 0:
         raise DivisionByZeroError("inverse of zero")
-    return pow_(a, a.field.q - 2)
-
-
-def enumerate_elements(f: FieldParams):
-    """All q elements in lexicographic coefficient order; zero first."""
-    return [f.from_index(i) for i in range(f.q)]
+    return pow_(f, a, f.q - 2)

@@ -1,17 +1,18 @@
 """Polynomials over F_{p^m} and words in the quotient ring mod x^n - 1.
 
-Coefficients are stored constant term first everywhere, matching the vector
-convention used by the windowed-read metrics: the word (x_0, ..., x_{n-1})
-is the polynomial x_0 + x_1 x + ... + x_{n-1} x^{n-1}.
+Coefficients and symbols are elements of F_{p^m} in the int encoding of
+:mod:`bsym.gf` (ints in range(q), zero is 0), stored constant term first
+everywhere, matching the vector convention used by the windowed-read metrics:
+the word (x_0, ..., x_{n-1}) is the polynomial x_0 + x_1 x + ... + x_{n-1} x^{n-1}.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from . import gf
-from .errors import DivisionByZeroError, FieldMismatchError
-from .gf import FieldElement, FieldParams
+from .errors import FieldMismatchError, NotAnElementError
+from .gf import FieldParams
 
 
 @dataclass(frozen=True)
@@ -19,7 +20,7 @@ class Poly:
     """Dense polynomial, no trailing zeros; the zero polynomial has no coeffs."""
 
     field: FieldParams
-    coeffs: tuple  # FieldElements, constant term first
+    coeffs: tuple  # ints in range(q), constant term first
 
     @property
     def degree(self):
@@ -29,17 +30,17 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def coeff(self, j: int) -> FieldElement:
+    def coeff(self, j: int) -> int:
         if 0 <= j < len(self.coeffs):
             return self.coeffs[j]
-        return self.field.zero
+        return 0
 
     def __str__(self):
         if not self.coeffs:
             return "0"
         terms = []
         for j, c in enumerate(self.coeffs):
-            if c.is_zero():
+            if c == 0:
                 continue
             if j == 0:
                 terms.append(str(c))
@@ -48,19 +49,19 @@ class Poly:
         return " + ".join(terms)
 
 
+def _trimmed(f: FieldParams, coeffs: list) -> Poly:
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return Poly(f, tuple(coeffs))
+
+
 def poly(f: FieldParams, coeffs) -> Poly:
-    """Build a Poly from FieldElements or plain ints, trimming trailing zeros."""
-    els = []
+    """Build a Poly from elements of f (ints in range(q)), trimming trailing zeros."""
+    coeffs = list(coeffs)
     for c in coeffs:
-        if isinstance(c, FieldElement):
-            if c.field != f:
-                raise FieldMismatchError("coefficient from a different field")
-            els.append(c)
-        else:
-            els.append(f.from_int(int(c)))
-    while els and els[-1].is_zero():
-        els.pop()
-    return Poly(f, tuple(els))
+        if not (isinstance(c, int) and 0 <= c < f.q):
+            raise NotAnElementError(c, f)
+    return _trimmed(f, coeffs)
 
 
 def _check(a: Poly, b: Poly):
@@ -70,16 +71,9 @@ def _check(a: Poly, b: Poly):
 
 def poly_add(a: Poly, b: Poly) -> Poly:
     _check(a, b)
+    f = a.field
     n = max(len(a.coeffs), len(b.coeffs))
-    return poly(a.field, [gf.add(a.coeff(j), b.coeff(j)) for j in range(n)])
-
-
-def poly_neg(a: Poly) -> Poly:
-    return Poly(a.field, tuple(gf.neg(c) for c in a.coeffs))
-
-
-def poly_sub(a: Poly, b: Poly) -> Poly:
-    return poly_add(a, poly_neg(b))
+    return _trimmed(f, [gf.add(f, a.coeff(j), b.coeff(j)) for j in range(n)])
 
 
 def poly_mul(a: Poly, b: Poly) -> Poly:
@@ -87,44 +81,20 @@ def poly_mul(a: Poly, b: Poly) -> Poly:
     if a.is_zero() or b.is_zero():
         return Poly(a.field, ())
     f = a.field
-    out = [f.zero] * (len(a.coeffs) + len(b.coeffs) - 1)
+    out = [0] * (len(a.coeffs) + len(b.coeffs) - 1)
     for i, x in enumerate(a.coeffs):
-        if x.is_zero():
+        if x == 0:
             continue
         for j, y in enumerate(b.coeffs):
-            out[i + j] = gf.add(out[i + j], gf.mul(x, y))
-    return poly(f, out)
-
-
-def poly_divmod(a: Poly, b: Poly):
-    _check(a, b)
-    if b.is_zero():
-        raise DivisionByZeroError("division by the zero polynomial")
-    f = a.field
-    rem = list(a.coeffs)
-    db = b.degree
-    lead_inv = gf.inv(b.coeffs[-1])
-    quo = [f.zero] * max(len(rem) - db, 0)
-    while len(rem) - 1 >= db and rem:
-        coef = gf.mul(rem[-1], lead_inv)
-        shift = len(rem) - 1 - db
-        quo[shift] = coef
-        for j, bj in enumerate(b.coeffs):
-            rem[shift + j] = gf.sub(rem[shift + j], gf.mul(coef, bj))
-        while rem and rem[-1].is_zero():
-            rem.pop()
-    return poly(f, quo), poly(f, rem)
-
-
-def poly_mod(a: Poly, b: Poly) -> Poly:
-    return poly_divmod(a, b)[1]
+            out[i + j] = gf.add(f, out[i + j], gf.mul(f, x, y))
+    return _trimmed(f, out)
 
 
 def xminus1_pow(f: FieldParams, i: int) -> Poly:
     """(x - 1)^i, computed by repeated multiplication in the field."""
     if i < 0:
         raise ValueError("exponent must be >= 0")
-    base = poly(f, [-1, 1])
+    base = poly(f, [gf.neg(f, 1), 1])
     out = poly(f, [1])
     for _ in range(i):
         out = poly_mul(out, base)
@@ -137,65 +107,36 @@ def xminus1_pow(f: FieldParams, i: int) -> Poly:
 
 @dataclass(frozen=True)
 class Word:
-    """A length-n tuple of symbols over any alphabet.
+    """A length-n tuple of symbols whose zero symbol is 0.
 
-    Only symbol equality and the designated zero symbol are ever used by the
-    windowed-read metrics, so symbols may be ints, FieldElements, or anything
-    hashable.  `field` is set when the word carries field structure.
+    Only symbol equality and comparison with 0 are ever used by the
+    windowed-read metrics, so symbols may be field elements or any other
+    hashable values.
     """
 
     symbols: tuple
-    zero: object = 0
-    field: FieldParams | None = dc_field(default=None, compare=False)
 
     @property
     def n(self) -> int:
         return len(self.symbols)
 
     def support(self):
-        return tuple(j for j, s in enumerate(self.symbols) if s != self.zero)
+        return tuple(j for j, s in enumerate(self.symbols) if s != 0)
 
     def hamming_weight(self) -> int:
-        return sum(1 for s in self.symbols if s != self.zero)
+        return sum(1 for s in self.symbols if s != 0)
 
     def __str__(self):
         return ",".join(str(s) for s in self.symbols)
 
 
-def word(symbols, zero=0) -> Word:
-    return Word(tuple(symbols), zero)
-
-
-def field_word(f: FieldParams, symbols) -> Word:
-    """Word over F_{p^m}; plain ints are lifted into the prime subfield."""
-    els = tuple(
-        s if isinstance(s, FieldElement) else f.from_int(int(s)) for s in symbols
-    )
-    return Word(els, f.zero, f)
-
-
 def to_word(a: Poly, n: int) -> Word:
     """Reduce a mod x^n - 1 and lay the coefficients out as a length-n word."""
     f = a.field
-    out = [f.zero] * n
+    out = [0] * n
     for j, c in enumerate(a.coeffs):
-        out[j % n] = gf.add(out[j % n], c)
-    return Word(tuple(out), f.zero, f)
-
-
-def from_word(w: Word) -> Poly:
-    if w.field is None:
-        raise FieldMismatchError("word has no field structure")
-    return poly(w.field, w.symbols)
-
-
-def word_sub(x: Word, y: Word) -> Word:
-    """Componentwise difference over a field."""
-    if x.field is None or x.field != y.field:
-        raise FieldMismatchError("words must share a field")
-    return Word(
-        tuple(gf.sub(a, b) for a, b in zip(x.symbols, y.symbols)), x.zero, x.field
-    )
+        out[j % n] = gf.add(f, out[j % n], c)
+    return Word(tuple(out))
 
 
 def cyclic_shift(w: Word, s: int) -> Word:
@@ -207,4 +148,4 @@ def cyclic_shift(w: Word, s: int) -> Word:
     out = [None] * n
     for j, sym in enumerate(w.symbols):
         out[(j + s) % n] = sym
-    return Word(tuple(out), w.zero, w.field)
+    return Word(tuple(out))

@@ -14,7 +14,7 @@ import random
 import time
 from dataclasses import dataclass, field as dc_field
 
-from . import bsymbol, codes
+from . import codes
 from .bsymbol import (
     check_bounds,
     dist_b_formula,
@@ -22,8 +22,9 @@ from .bsymbol import (
     weight_b_oracle,
 )
 from .codes import CyclicCodeSpec, closed_form_db, hamming_distance_formula
+from .errors import InvalidParameterError
 from .gf import make_field
-from .polyring import Word, cyclic_shift, poly, to_word
+from .polyring import Word, cyclic_shift, poly
 
 DEFAULT_GRID = (
     (2, 2, 1),
@@ -51,7 +52,7 @@ class SuiteConfig:
 
     def __post_init__(self):
         if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+            raise InvalidParameterError(f"trials={self.trials} must be >= 1")
 
 
 @dataclass
@@ -68,6 +69,10 @@ class SuiteReport:
 
     def count(self, key: str):
         self.cases += 1
+        self.coverage[key] = self.coverage.get(key, 0) + 1
+
+    def skip(self, key: str):
+        """Tally a case that was not run: in coverage, not in `cases`."""
         self.coverage[key] = self.coverage.get(key, 0) + 1
 
     def fail(self, inputs, expected, actual):
@@ -162,6 +167,7 @@ def run_code_suite(cfg: SuiteConfig) -> SuiteReport:
         for i in range(n + 1):
             spec = CyclicCodeSpec(f, e, i)
             if spec.size > cfg.cap:
+                rep.skip("skipped_cap")
                 continue
             dh_formula = hamming_distance_formula(spec)
             dh_brute = codes.min_hamming_weight_bruteforce(spec, cfg.cap)
@@ -205,7 +211,7 @@ def _random_lemma_instance(rng: random.Random, f, e: int):
     b = rng.randrange(2, period + 1)
     coeffs = [rng.randrange(f.q) for _ in range(d)]
     coeffs.append(rng.randrange(1, f.q))  # leading coefficient nonzero
-    g = poly(f, [f.from_index(c) for c in coeffs])
+    g = poly(f, coeffs)
     return k, b, g
 
 
@@ -224,7 +230,7 @@ def run_lemma_suite(cfg: SuiteConfig) -> SuiteReport:
             rep.count(f"p{p}e{e}_{case}")
             if predicted != actual:
                 rep.fail({"p": p, "e": e, "k": k, "b": b,
-                          "g": [f.index_of(c) for c in g.coeffs]},
+                          "g": list(g.coeffs)},
                          actual, predicted)
     rep.elapsed = time.perf_counter() - t0
     return rep
@@ -284,6 +290,7 @@ def run_bounds_suite(cfg: SuiteConfig) -> SuiteReport:
         for i in range(n + 1):
             spec = CyclicCodeSpec(f, e, i)
             if spec.size > cfg.cap:
+                rep.skip("skipped_cap")
                 continue
             d_h = hamming_distance_formula(spec)
             for b in range(2, min(cfg.b_max, n) + 1):

@@ -157,3 +157,55 @@ def test_table_bad_range(capsys, option):
                          "--b", ranges["--b"], "--i", ranges["--i"])
     assert code == 1 and out == ""
     assert err.count("\n") == 1 and "usage error" in err and "2..x" in err
+
+
+@pytest.mark.parametrize("argv,needle", [
+    (["--e", "0", "--i", "0"], "e=0"),
+    (["--e", "2", "--m", "0", "--i", "0"], "m=0"),
+    (["--e", "2", "--m", "2", "--modulus", "1,x", "--i", "0"], "1,x"),
+])
+def test_code_bad_parameters_one_line(capsys, argv, needle):
+    code, out, err = run(capsys, "code", "--p", "3", "--b", "2", *argv)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and needle in err
+
+
+def test_table_bad_e_one_line(capsys):
+    code, out, err = run(capsys, "table", "--p", "3", "--e", "-1", "--b", "2")
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "e=-1" in err
+
+
+def test_cap_refusal_is_one_short_line(capsys):
+    code, out, err = run(capsys, "code", "--p", "1009", "--e", "1", "--i", "3",
+                         "--b", "2", "--method", "both")
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and len(err) < 100
+    assert "1009^1006 codewords" in err
+
+
+def test_verify_honours_cap_env(monkeypatch, capsys):
+    monkeypatch.setenv("BSYM_CAP", "100")
+    code, out, _ = run(capsys, "verify", "--suite", "code")
+    assert code == 0
+    report = json.loads(out)["code"]
+    assert report["passed"] and report["coverage"]["skipped_cap"] > 0
+
+
+def test_verify_default_cap_skips_nothing(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "bounds", "--trials", "10")
+    assert code == 0
+    assert "skipped_cap" not in json.loads(out)["bounds"]["coverage"]
+
+
+def test_verify_bad_cap_env(monkeypatch, capsys):
+    monkeypatch.setenv("BSYM_CAP", "abc")
+    code, out, err = run(capsys, "verify", "--suite", "code")
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "BSYM_CAP" in err
+
+
+def test_verify_bad_trials_one_line(capsys):
+    code, out, err = run(capsys, "verify", "--trials", "0")
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "trials=0" in err

@@ -286,7 +286,7 @@ def test_generator_weight_attainment():
 # --- weight decomposition (periodic codewords) -----------------------------
 
 def test_lemma10_case1_example():
-    g = poly(Z3, [-1, 1])  # x - 1
+    g = poly(Z3, [2, 1])  # x - 1
     assert lemma10_weight(Z3, 2, 1, g, 2) == 9
     # matches the direct weight of (x-1)^7
     w = to_word(xminus1_pow(Z3, 7), 9)
@@ -294,7 +294,7 @@ def test_lemma10_case1_example():
 
 
 def test_lemma10_case2_example():
-    g = poly(Z3, [-1, 1])
+    g = poly(Z3, [2, 1])
     assert lemma10_weight(Z3, 2, 1, g, 3) == 9
     assert weight_b_oracle(lemma10_codeword(Z3, 2, 1, g), 3) == 9
 

@@ -6,11 +6,13 @@ from bsym import gf
 from bsym.errors import (
     DivisionByZeroError,
     FieldMismatchError,
+    InvalidParameterError,
     NoDefaultModulusError,
     NonPrimeError,
     NotIrreducibleError,
 )
-from bsym.gf import enumerate_elements, make_field
+from bsym.gf import make_field
+from bsym.polyring import poly, poly_add, poly_mul
 
 SMALL_FIELDS = [make_field(2), make_field(3), make_field(5), make_field(7),
                 make_field(2, 2), make_field(2, 3), make_field(3, 2)]
@@ -44,75 +46,92 @@ def test_make_field_no_default_modulus():
 
 def test_f4_multiplication():
     # x * x = x + 1 modulo x^2 + x + 1
+    # elements are base-p digit strings, constant term lowest: x = 2, x + 1 = 3
     f = make_field(2, 2)
-    x = f.element([0, 1])
-    assert gf.mul(x, x) == f.element([1, 1])
+    assert gf.mul(f, 2, 2) == 3
 
 
 def test_z5_inverse():
     f = make_field(5)
-    assert gf.inv(f.from_int(2)) == f.from_int(3)
+    assert gf.inv(f, 2) == 3
 
 
 def test_pow_zero_exponent():
     f = make_field(3)
-    assert gf.pow_(f.from_int(2), 0) == f.one
+    assert gf.pow_(f, 2, 0) == 1
 
 
 def test_inv_zero_raises():
     f = make_field(3)
     with pytest.raises(DivisionByZeroError):
-        gf.inv(f.zero)
+        gf.inv(f, 0)
+
+
+def test_make_field_rejects_degree_zero():
+    with pytest.raises(InvalidParameterError):
+        make_field(3, 0)
 
 
 def test_field_mismatch():
+    # elements carry no field; mixing fields is caught at the polynomial level
     with pytest.raises(FieldMismatchError):
-        gf.add(make_field(2).one, make_field(3).one)
+        poly_add(poly(make_field(2), [1]), poly(make_field(3), [1]))
+    with pytest.raises(FieldMismatchError):
+        poly_mul(poly(make_field(2, 2), [1]), poly(make_field(2), [1]))
 
 
 def test_enumerate_z3():
+    # for m = 1 an element is its residue
     f = make_field(3)
-    assert [e.coeffs[0] for e in enumerate_elements(f)] == [0, 1, 2]
+    assert [gf.add(f, a, 0) for a in range(f.q)] == [0, 1, 2]
+    assert [gf.neg(f, a) for a in range(f.q)] == [0, 2, 1]
 
 
 def test_enumerate_f4():
+    # x = 2 generates the multiplicative group, so range(4) is the whole field
     f = make_field(2, 2)
-    els = enumerate_elements(f)
-    assert len(set(els)) == 4
-    assert els[0] == f.zero
+    powers = [gf.pow_(f, 2, k) for k in range(f.q - 1)]
+    assert sorted(powers) == [1, 2, 3]
+    assert all(gf.mul(f, 0, a) == 0 and gf.add(f, 0, a) == a for a in range(f.q))
 
 
 def test_enumerate_z5_length():
-    assert len(enumerate_elements(make_field(5))) == 5
+    # 2 is a primitive root mod 5: its powers are the 4 nonzero elements
+    f = make_field(5)
+    assert len({gf.pow_(f, 2, k) for k in range(f.q - 1)}) == 4
+
+
+def test_prime_subfield_is_low_digits():
+    # in F_9 the ints 0..2 add and multiply as Z_3
+    f = make_field(3, 2)
+    for a, b in itertools.product(range(3), repeat=2):
+        assert gf.add(f, a, b) == (a + b) % 3
+        assert gf.mul(f, a, b) == (a * b) % 3
 
 
 @pytest.mark.parametrize("f", SMALL_FIELDS, ids=repr)
 def test_inverses(f):
-    for a in enumerate_elements(f):
-        if not a.is_zero():
-            assert gf.mul(a, gf.inv(a)) == f.one
+    for a in range(1, f.q):
+        assert gf.mul(f, a, gf.inv(f, a)) == 1
 
 
 @pytest.mark.parametrize("f", [f for f in SMALL_FIELDS if f.q <= 9], ids=repr)
 def test_field_axioms_exhaustive(f):
-    els = enumerate_elements(f)
+    els = range(f.q)
     for a, b in itertools.product(els, repeat=2):
-        assert gf.add(a, b) == gf.add(b, a)
-        assert gf.mul(a, b) == gf.mul(b, a)
+        assert gf.add(f, a, b) == gf.add(f, b, a)
+        assert gf.mul(f, a, b) == gf.mul(f, b, a)
+        assert gf.add(f, gf.sub(f, a, b), b) == a
+        assert gf.add(f, a, gf.neg(f, a)) == 0
     for a, b, c in itertools.product(els, repeat=3):
-        assert gf.add(gf.add(a, b), c) == gf.add(a, gf.add(b, c))
-        assert gf.mul(gf.mul(a, b), c) == gf.mul(a, gf.mul(b, c))
-        assert gf.mul(a, gf.add(b, c)) == gf.add(gf.mul(a, b), gf.mul(a, c))
+        assert gf.add(f, gf.add(f, a, b), c) == gf.add(f, a, gf.add(f, b, c))
+        assert gf.mul(f, gf.mul(f, a, b), c) == gf.mul(f, a, gf.mul(f, b, c))
+        assert gf.mul(f, a, gf.add(f, b, c)) == gf.add(
+            f, gf.mul(f, a, b), gf.mul(f, a, c)
+        )
 
 
 @pytest.mark.parametrize("f", [f for f in SMALL_FIELDS if f.q <= 9], ids=repr)
 def test_lagrange(f):
-    for a in enumerate_elements(f):
-        if not a.is_zero():
-            assert gf.pow_(a, f.q - 1) == f.one
-
-
-def test_index_roundtrip():
-    f = make_field(3, 2)
-    for idx in range(f.q):
-        assert f.index_of(f.from_index(idx)) == idx
+    for a in range(1, f.q):
+        assert gf.pow_(f, a, f.q - 1) == 1

@@ -1,0 +1,48 @@
+"""Golden stdout of the CLI and the demos, pinned by sha256.
+
+Each command runs in a fresh interpreter with PYTHONPATH=src.  The digests
+fix the exact bytes of the verify JSON for a seed, the CSV/JSON tables, one
+brute-force row over F_9 and the three demos; any change to them is a change
+of output, not a refactoring.
+"""
+
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+CLI = ["-m", "bsym.cli"]
+
+GOLDEN = [
+    (CLI + ["verify", "--seed", "42", "--trials", "2000"],
+     "d869fb9d8077b578f7d12a79e3783dfb7b46f253e38a703a03aeb91ce9fac0c3"),
+    (CLI + ["table", "--p", "3", "--e", "2", "--b", "2..3", "--format", "csv"],
+     "4cd7aed51d0055f8ba29025797c8eadd2c31702fe5d6158ddc041b726b81e895"),
+    (CLI + ["table", "--p", "2", "--e", "3", "--m", "2", "--b", "2..4",
+            "--format", "json"],
+     "a590a7b1b820cac98f8202ff906294d7e7892d4bc469c17329cf648bf4aa6385"),
+    (CLI + ["code", "--p", "3", "--e", "2", "--m", "2", "--i", "4", "--b", "2",
+            "--method", "brute"],
+     "a4c3b615e80fe8edc2ecede615bf2fbb78eb501a0e0ce36670b52f2842f6ce8e"),
+    (["demos/code_distance_table.py"],
+     "7d1c3936478ef71b9debca85acd8883dcc81a0c8350779f103a387553d4bad2e"),
+    (["demos/run_partition_walkthrough.py"],
+     "8a614036821bc4235e07c741e27d1e60f7b08bc91983fa0685c9035d88f0afde"),
+    (["demos/weight_decomposition.py"],
+     "4876fc97ddae55a8b460fda9272669e89fc0b6b7e58659973bccaf7dd799d7bb"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN,
+                         ids=[" ".join(argv) for argv, _ in GOLDEN])
+def test_stdout_digest(argv, digest):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.pop("BSYM_CAP", None)
+    proc = subprocess.run([sys.executable, *argv], cwd=ROOT, env=env,
+                          capture_output=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest

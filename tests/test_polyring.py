@@ -1,12 +1,11 @@
 import pytest
 
+from bsym.errors import NotAnElementError
 from bsym.gf import make_field
 from bsym.polyring import (
     Word,
     cyclic_shift,
-    from_word,
     poly,
-    poly_mod,
     poly_mul,
     to_word,
     xminus1_pow,
@@ -17,7 +16,7 @@ Z3 = make_field(3)
 
 
 def as_ints(p):
-    return [c.coeffs[0] for c in p.coeffs]
+    return list(p.coeffs)
 
 
 def test_xminus1_squared_z3():
@@ -41,13 +40,6 @@ def test_freshmans_dream():
         assert got == expected
 
 
-def test_poly_mod():
-    # x^3 mod (x^2 - 1) = x over Z_3
-    x3 = poly(Z3, [0, 0, 0, 1])
-    mod = poly(Z3, [-1, 0, 1])
-    assert as_ints(poly_mod(x3, mod)) == [0, 1]
-
-
 def test_xminus1_pow_multiplicative():
     for i in (0, 2, 5, 11):
         for j in (1, 3, 7):
@@ -58,23 +50,36 @@ def test_xminus1_pow_multiplicative():
 
 def test_to_word_xminus1():
     w = to_word(xminus1_pow(Z3, 1), 9)
-    assert [s.coeffs[0] for s in w.symbols] == [2, 1, 0, 0, 0, 0, 0, 0, 0]
+    assert w.symbols == (2, 1, 0, 0, 0, 0, 0, 0, 0)
 
 
 def test_to_word_reduces_mod_xn_minus_1():
     x9 = poly(Z3, [0] * 9 + [1])
     w = to_word(x9, 9)
-    assert [s.coeffs[0] for s in w.symbols] == [1] + [0] * 8
+    assert w.symbols == (1,) + (0,) * 8
 
 
 def test_to_word_zero_poly():
     w = to_word(poly(Z3, []), 5)
-    assert all(s.is_zero() for s in w.symbols) and w.n == 5
+    assert w.symbols == (0,) * 5
 
 
 def test_word_roundtrip():
     a = poly(Z3, [1, 0, 2])
-    assert from_word(to_word(a, 9)) == a
+    assert poly(Z3, to_word(a, 9).symbols) == a
+
+
+@pytest.mark.parametrize("c", [-1, 3, 1.0, "1"])
+def test_poly_rejects_non_elements(c):
+    with pytest.raises(NotAnElementError):
+        poly(Z3, [1, c])
+
+
+def test_poly_accepts_extension_elements():
+    f = make_field(3, 2)
+    assert poly(f, [8, 0, 4, 0]).coeffs == (8, 0, 4)
+    with pytest.raises(NotAnElementError):
+        poly(f, [9])
 
 
 def test_cyclic_shift():
