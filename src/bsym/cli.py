@@ -209,7 +209,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except BsymError as exc:
+    except (BsymError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -5,8 +5,9 @@ Closed forms implemented here:
   * exact b-symbol distances where a rule applies (i = 0; e = 1 with
     i <= p - b; e >= 2 with small i; the p^e - p^{e-k} + i' family),
   * the periodic weight decomposition w_b((x-1)^{p^e - p^{e-k}} g(x))
-    in terms of w_b(g), and
-  * sandwich intervals when no exact rule applies.
+    in terms of w_b(g),
+  * the sandwich intervals of Prop7 and Cor2 (`sandwiches`), and
+  * `check_row`: every claim one row can test, for records and the suites.
 
 Every closed form is backed by an exhaustive minimum-weight engine that
 refuses to sample: beyond the cap it raises instead of approximating.  The
@@ -106,18 +107,16 @@ class ClosedFormResult:
 
 @dataclass(frozen=True)
 class DistanceRecord:
-    p: int
-    e: int
-    m: int
-    i: int
+    spec: CyclicCodeSpec
     b: int
-    n: int
-    k_dim: int
     dH_formula: int
     db_closed: ClosedFormResult
     db_brute: int | None
-    bounds: tuple | None
-    consistent: bool
+    checks: list               # (kind, expected, actual, holds), see check_row
+
+    @property
+    def consistent(self) -> bool:
+        return all(holds for *_, holds in self.checks)
 
 
 def hamming_distance_formula(spec: CyclicCodeSpec) -> int:
@@ -140,8 +139,16 @@ def hamming_distance_formula(spec: CyclicCodeSpec) -> int:
     raise AssertionError(f"no branch matched i={i} (p={p}, e={e})")  # unreachable
 
 
+def above_cap(spec: CyclicCodeSpec, cap: int) -> bool:
+    """spec.size > cap, without building q^k_dim when it is far above the cap:
+    q >= 2^(bl-1) for bl = q.bit_length(), so k_dim * (bl-1) >= the bit length
+    of the cap puts q^k_dim above it, and otherwise q^k_dim < cap^2."""
+    q, k = spec.field.q, spec.k_dim
+    return k * (q.bit_length() - 1) >= cap.bit_length() or q ** k > cap
+
+
 def _refuse_above_cap(spec: CyclicCodeSpec, cap: int):
-    if spec.size > cap:
+    if above_cap(spec, cap):
         raise EnumerationTooLargeError(spec.field.q, spec.k_dim, cap)
 
 
@@ -276,15 +283,6 @@ def _min_weights(spec: CyclicCodeSpec) -> tuple:
     return tuple(best)
 
 
-def min_hamming_weight_bruteforce(spec: CyclicCodeSpec, cap: int | None = None) -> int:
-    """Minimum nonzero Hamming weight by exhaustive enumeration."""
-    cap = enumeration_cap() if cap is None else cap
-    if spec.i == spec.n:
-        return 0
-    _refuse_above_cap(spec, cap)
-    return _min_weights(spec)[1]
-
-
 def min_b_weight_bruteforce(
     spec: CyclicCodeSpec, b: int, cap: int | None = None
 ) -> int:
@@ -332,24 +330,54 @@ def closed_form_db(spec: CyclicCodeSpec, b: int) -> ClosedFormResult:
         candidates.append(("Thm11", p ** k * (b + i2)))
 
     if candidates:
-        values = {v for _, v in candidates}
-        if len(values) > 1:
-            raise AssertionError(
-                f"overlapping exact rules disagree: {candidates} at {echo}"
-            )
-        rule, value = candidates[0]
+        (rule, value), *overlaps = candidates
+        if overlaps:
+            echo["overlaps"] = overlaps     # check_row tests that they agree
         if rule == "Thm11":
             echo["decompositions"] = decomps
         return ClosedFormResult(value, rule, None, echo)
 
+    found = sandwiches(spec, b)
+    if found:
+        echo["interval_source"], interval = found[0]
+        return ClosedFormResult(None, None, interval, echo)
+    return ClosedFormResult(None, None, None, echo)
+
+
+def sandwiches(spec: CyclicCodeSpec, b: int) -> list:
+    """Every proven interval for d_b as (source, (lower, upper)), Prop7 first."""
+    p, e, i, n = spec.p, spec.e, spec.i, spec.n
+    found = []
     if b < n and 1 <= i <= p ** (e - 1):
-        echo["interval_source"] = "Prop7"
-        return ClosedFormResult(None, None, (b + 1, 2 * b), echo)
+        found.append(("Prop7", (b + 1, 2 * b)))
     d_h = hamming_distance_formula(spec)
     if 0 < d_h <= n - (b - 1):
-        echo["interval_source"] = "Cor2"
-        return ClosedFormResult(None, None, (d_h + b - 1, b * d_h), echo)
-    return ClosedFormResult(None, None, None, echo)
+        found.append(("Cor2", (d_h + b - 1, b * d_h)))
+    return found
+
+
+def check_row(spec: CyclicCodeSpec, b: int, closed: ClosedFormResult,
+              brute: int | None) -> list:
+    """Every claim one row can test, as (kind, expected, actual, holds).
+
+    overlap: each further exact rule that fires gives the first one's value;
+    rule: the exact value equals brute; interval: brute lies in the closed
+    interval; prop7, cor2: brute, or else the exact value, lies in the sandwich.
+    """
+    checks = [
+        ("overlap", [closed.rule, closed.value], [rule, value], value == closed.value)
+        for rule, value in closed.params_echo.get("overlaps", [])
+    ]
+    if brute is not None and closed.value is not None:
+        checks.append(("rule", brute, closed.value, closed.value == brute))
+    if brute is not None and closed.interval is not None:
+        lo, hi = closed.interval
+        checks.append(("interval", [lo, hi], brute, lo <= brute <= hi))
+    actual = closed.value if brute is None else brute
+    if actual is not None:
+        for source, (lo, hi) in sandwiches(spec, b):
+            checks.append((source.lower(), [lo, hi], actual, lo <= actual <= hi))
+    return checks
 
 
 def lemma10_weight(f: FieldParams, e: int, k: int, g: Poly, b: int) -> int:
@@ -402,40 +430,18 @@ def build_record(
     cap: int | None = None,
     with_brute: bool = True,
 ) -> DistanceRecord:
-    """One verification row: formulas, optional brute value, consistency flag."""
-    d_h = hamming_distance_formula(spec)
+    """One verification row: formulas, optional brute value, its checks."""
     closed = closed_form_db(spec, b)
-    n = spec.n
-    bounds = None
-    if 0 < d_h <= n - (b - 1):
-        bounds = (d_h + b - 1, b * d_h)
     brute = min_b_weight_bruteforce(spec, b, cap) if with_brute else None
-
-    consistent = True
-    if brute is not None:
-        if closed.value is not None and closed.value != brute:
-            consistent = False
-        if closed.interval is not None and not (
-            closed.interval[0] <= brute <= closed.interval[1]
-        ):
-            consistent = False
-        if bounds is not None and not (bounds[0] <= brute <= bounds[1]):
-            consistent = False
-    if closed.value is not None and bounds is not None and not (
-        bounds[0] <= closed.value <= bounds[1]
-    ):
-        consistent = False
-    return DistanceRecord(
-        spec.p, spec.e, spec.m, spec.i, b, n, spec.k_dim,
-        d_h, closed, brute, bounds, consistent,
-    )
+    return DistanceRecord(spec, b, hamming_distance_formula(spec), closed, brute,
+                          check_row(spec, b, closed, brute))
 
 
 def record_to_dict(rec: DistanceRecord) -> dict:
-    c = rec.db_closed
+    c, s = rec.db_closed, rec.spec
     return {
-        "p": rec.p, "e": rec.e, "m": rec.m, "i": rec.i, "b": rec.b,
-        "n": rec.n, "dim": rec.k_dim, "dH": rec.dH_formula,
+        "p": s.p, "e": s.e, "m": s.m, "i": s.i, "b": rec.b,
+        "n": s.n, "dim": s.k_dim, "dH": rec.dH_formula,
         "db_rule": c.rule,
         "db_closed": c.value,
         "db_lower": c.interval[0] if c.interval else None,

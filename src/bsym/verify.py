@@ -21,7 +21,7 @@ from .bsymbol import (
     dist_b_oracle,
     weight_b_oracle,
 )
-from .codes import CyclicCodeSpec, closed_form_db, hamming_distance_formula
+from .codes import CyclicCodeSpec, hamming_distance_formula
 from .errors import InvalidParameterError
 from .gf import make_field
 from .polyring import Word, cyclic_shift, poly
@@ -156,48 +156,52 @@ def run_formula_suite(cfg: SuiteConfig) -> SuiteReport:
     return rep
 
 
+def _grid_records(cfg: SuiteConfig, rep: SuiteReport):
+    """Yield (spec, rows for b = 2..b_max) for each code of the grid; the
+    codes above the cap are tallied in `rep` as `skipped_cap` instead."""
+    for p, e, m in cfg.grid:
+        f = make_field(p, m)
+        for i in range(p ** e + 1):
+            spec = CyclicCodeSpec(f, e, i)
+            if codes.above_cap(spec, cfg.cap):
+                rep.skip("skipped_cap")
+                continue
+            yield spec, [codes.build_record(spec, b, cfg.cap)
+                         for b in range(2, min(cfg.b_max, spec.n) + 1)]
+
+
+def _inputs(spec: CyclicCodeSpec, **extra) -> dict:
+    return {"p": spec.p, "e": spec.e, "m": spec.m, "i": spec.i, **extra}
+
+
 def run_code_suite(cfg: SuiteConfig) -> SuiteReport:
     """Closed-form Hamming and b-symbol distances vs brute-force minima."""
     rep = SuiteReport("code")
     t0 = time.perf_counter()
-    for p, e, m in cfg.grid:
-        f = make_field(p, m)
-        n = p ** e
-        prev_by_b = {}
-        for i in range(n + 1):
-            spec = CyclicCodeSpec(f, e, i)
-            if spec.size > cfg.cap:
-                rep.skip("skipped_cap")
-                continue
-            dh_formula = hamming_distance_formula(spec)
-            dh_brute = codes.min_hamming_weight_bruteforce(spec, cfg.cap)
-            rep.count("hamming")
-            if dh_formula != dh_brute:
-                rep.fail({"p": p, "e": e, "m": m, "i": i, "kind": "hamming"},
-                         dh_brute, dh_formula)
-            for b in range(2, min(cfg.b_max, n) + 1):
-                closed = closed_form_db(spec, b)
-                brute = codes.min_b_weight_bruteforce(spec, b, cfg.cap)
-                if closed.value is not None:
-                    rep.count(f"rule_{closed.rule}")
-                    if closed.value != brute:
-                        rep.fail({"p": p, "e": e, "m": m, "i": i, "b": b,
-                                  "rule": closed.rule}, brute, closed.value)
-                elif closed.interval is not None:
-                    rep.count(f"interval_{closed.params_echo['interval_source']}")
-                    lo, hi = closed.interval
-                    if not (lo <= brute <= hi):
-                        rep.fail({"p": p, "e": e, "m": m, "i": i, "b": b,
-                                  "kind": "interval"}, [lo, hi], brute)
-                else:
-                    rep.count("rule_none")
-                # nesting: C_{i} contains C_{i+1}, so d_b may only grow with i
-                # (the zero code C_{p^e} is 0 by convention and is excluded)
-                if b in prev_by_b and 0 < i < n:
-                    if brute < prev_by_b[b].get(i - 1, brute):
-                        rep.fail({"p": p, "e": e, "m": m, "i": i, "b": b,
-                                  "kind": "nesting"}, prev_by_b[b][i - 1], brute)
-                prev_by_b.setdefault(b, {})[i] = brute
+    brutes = {}          # (field, e, i, b) -> brute-force d_b, for nesting
+    for spec, records in _grid_records(cfg, rep):
+        dh_formula = hamming_distance_formula(spec)
+        dh_brute = codes.min_b_weight_bruteforce(spec, 1, cfg.cap)
+        rep.count("hamming")
+        if dh_formula != dh_brute:
+            rep.fail(_inputs(spec, kind="hamming"), dh_brute, dh_formula)
+        for rec in records:
+            closed, brute, b = rec.db_closed, rec.db_brute, rec.b
+            if closed.value is not None:
+                rep.count(f"rule_{closed.rule}")
+            elif closed.interval is not None:
+                rep.count(f"interval_{closed.params_echo['interval_source']}")
+            else:
+                rep.count("rule_none")
+            for kind, expected, actual, holds in rec.checks:   # see codes.check_row
+                if kind in ("overlap", "rule", "interval") and not holds:
+                    rep.fail(_inputs(spec, b=b, kind=kind), expected, actual)
+            # nesting: C_{i} contains C_{i+1}, so d_b may only grow with i
+            # (the zero code C_{p^e} is 0 by convention and is excluded)
+            below = brutes.get((spec.field, spec.e, spec.i - 1, b), brute)
+            if 0 < spec.i < spec.n and brute < below:
+                rep.fail(_inputs(spec, b=b, kind="nesting"), below, brute)
+            brutes[spec.field, spec.e, spec.i, b] = brute
     rep.elapsed = time.perf_counter() - t0
     return rep
 
@@ -284,27 +288,13 @@ def run_bounds_suite(cfg: SuiteConfig) -> SuiteReport:
                       "kind": "shift"}, wb, weight_b_oracle(cyclic_shift(x, s), b))
 
     # Cor2 sandwiches and Prop7 intervals against brute force on the code grid
-    for p, e, m in cfg.grid:
-        f = make_field(p, m)
-        n = p ** e
-        for i in range(n + 1):
-            spec = CyclicCodeSpec(f, e, i)
-            if spec.size > cfg.cap:
-                rep.skip("skipped_cap")
-                continue
-            d_h = hamming_distance_formula(spec)
-            for b in range(2, min(cfg.b_max, n) + 1):
-                brute = codes.min_b_weight_bruteforce(spec, b, cfg.cap)
-                if 0 < d_h <= n - (b - 1):
-                    rep.count("cor2")
-                    if not (d_h + b - 1 <= brute <= b * d_h):
-                        rep.fail({"p": p, "e": e, "m": m, "i": i, "b": b,
-                                  "kind": "cor2"}, [d_h + b - 1, b * d_h], brute)
-                if 1 <= i <= p ** (e - 1) and b < n:
-                    rep.count("prop7")
-                    if not (b + 1 <= brute <= 2 * b):
-                        rep.fail({"p": p, "e": e, "m": m, "i": i, "b": b,
-                                  "kind": "prop7"}, [b + 1, 2 * b], brute)
+    for spec, records in _grid_records(cfg, rep):
+        for rec in records:
+            for kind, expected, actual, holds in rec.checks:
+                if kind in ("prop7", "cor2"):
+                    rep.count(kind)
+                    if not holds:
+                        rep.fail(_inputs(spec, b=rec.b, kind=kind), expected, actual)
     rep.elapsed = time.perf_counter() - t0
     return rep
 

@@ -1,9 +1,16 @@
 import csv
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+from bsym import codes
 from bsym.cli import main
 
 GOLDEN = "0,0,1,3,0,5,0,0,0,2,0,7,0,0,0"
@@ -209,3 +216,49 @@ def test_verify_bad_trials_one_line(capsys):
     code, out, err = run(capsys, "verify", "--trials", "0")
     assert code == 1 and out == ""
     assert err.count("\n") == 1 and "trials=0" in err
+
+
+def test_code_disagreeing_rules_exit_2(monkeypatch, capsys):
+    # a wrong Thm11 that fires beside Thm9 (which gives 3) with the value 6
+    monkeypatch.setattr(codes, "thm11_decompositions", lambda s, b: [(1, 0)])
+    code, out, err = run(capsys, "code", "--p", "3", "--e", "2", "--i", "1",
+                         "--b", "2", "--method", "closed")
+    assert code == 2 and err == ""
+    assert "db_rule=Thm9 db_closed=3" in out and "consistent=False" in out
+
+
+def test_table_wrong_sandwich_exit_2(monkeypatch, capsys):
+    monkeypatch.setattr(codes, "sandwiches", lambda s, b: [("Cor2", (s.n + 1, s.n + 1))])
+    code, out, _ = run(capsys, "table", "--p", "3", "--e", "2", "--b", "2",
+                       "--format", "json")
+    assert code == 2
+    assert [r["consistent"] for r in json.loads(out)] == [False] * 10
+
+
+@pytest.mark.parametrize("target", ["missing/t.csv", "."])
+def test_table_unwritable_out_one_line(tmp_path, capsys, target):
+    code, out, err = run(capsys, "table", "--p", "2", "--e", "2", "--b", "2",
+                         "--out", str(tmp_path / target))
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error:")
+
+
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_cap_refusal_does_not_build_the_code_size():
+    # 2^(2^40 - 1) codewords; the child may not grow past 1 GiB
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    env.pop("BSYM_CAP", None)
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "bsym.cli", "code", "--p", "2", "--e", "40",
+         "--i", "1", "--b", "2"],
+        env=env, capture_output=True, text=True, timeout=60, preexec_fn=_limit_memory,
+    )
+    assert time.perf_counter() - t0 < 1.0
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == ("error: code has 2^1099511627775 codewords, "
+                           "above the enumeration cap 4194304\n")

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from collections import Counter
 from functools import lru_cache
 
@@ -15,7 +16,6 @@ from bsym.codes import (
     lemma10_codeword,
     lemma10_weight,
     min_b_weight_bruteforce,
-    min_hamming_weight_bruteforce,
     record_to_dict,
     thm11_decompositions,
 )
@@ -57,7 +57,7 @@ def test_hamming_formula_vs_bruteforce(f, e):
     for i in range(n + 1):
         s = spec(f, e, i)
         assert hamming_distance_formula(s) == (
-            min_hamming_weight_bruteforce(s) if i < n else 0
+            min_b_weight_bruteforce(s, 1) if i < n else 0
         )
 
 
@@ -65,7 +65,7 @@ def test_hamming_formula_vs_bruteforce_f4():
     f = make_field(2, 2)
     for i in range(5):
         s = spec(f, 2, i)
-        expected = min_hamming_weight_bruteforce(s) if i < 4 else 0
+        expected = min_b_weight_bruteforce(s, 1) if i < 4 else 0
         assert hamming_distance_formula(s) == expected
 
 
@@ -122,7 +122,28 @@ def test_cap_checked_before_cached_minima():
     with pytest.raises(EnumerationTooLargeError):
         min_b_weight_bruteforce(s, 2, cap=100)
     with pytest.raises(EnumerationTooLargeError):
-        min_hamming_weight_bruteforce(s, cap=100)
+        min_b_weight_bruteforce(s, 1, cap=100)
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3, 7, 8, 9, 63, 64, 65, 80, 81, 82, 2 ** 22])
+def test_above_cap_agrees_with_size(cap):
+    for f, e in [(Z2, 3), (Z3, 2), (make_field(2, 2), 2), (Z5, 1), (make_field(3, 2), 1)]:
+        for i in range(f.p ** e + 1):
+            s = spec(f, e, i)
+            assert codes.above_cap(s, cap) == (s.size > cap), (f, e, i)
+
+
+def test_above_cap_does_not_build_the_code_size():
+    s = spec(Z2, 26, 1)          # 2^(2^26 - 1) codewords: an 8 MiB integer
+    tracemalloc.start()
+    try:
+        assert codes.above_cap(s, 2 ** 22)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    with pytest.raises(EnumerationTooLargeError):
+        min_b_weight_bruteforce(s, 2)
 
 
 # --- Gray-code engine vs the enumeration reference -------------------------
@@ -168,7 +189,7 @@ def test_gray_walk_yields_every_nonzero_support_once(p, e, m, i):
 def test_engine_minima_match_reference_for_every_b(p, e, m, i):
     s = spec(make_field(p, m), e, i)
     expected = _reference(p, e, m, i)[1]
-    assert min_hamming_weight_bruteforce(s) == expected[1]
+    assert min_b_weight_bruteforce(s, 1) == expected[1]
     for b in range(1, s.n + 1):
         assert min_b_weight_bruteforce(s, b) == expected[b], b
 
@@ -243,6 +264,13 @@ def test_closed_form_cor2_interval():
     assert res.value is None
     assert res.interval == (3 + 4, 15)
     assert res.params_echo["interval_source"] == "Cor2"
+
+
+def test_sandwiches():
+    # for 1 <= i <= p^{e-1}, d_H = 2, so Prop7 and Cor2 give the same interval
+    assert codes.sandwiches(spec(Z3, 2, 2), 4) == [("Prop7", (5, 8)), ("Cor2", (5, 8))]
+    assert codes.sandwiches(spec(Z3, 2, 4), 5) == [("Cor2", (7, 15))]
+    assert codes.sandwiches(spec(Z3, 2, 9), 2) == []
 
 
 def test_thm11_decomposition_params():
@@ -356,3 +384,48 @@ def test_record_to_dict_columns():
 
     d = record_to_dict(build_record(spec(Z3, 2, 7), 2))
     assert list(d) == CSV_COLUMNS
+
+
+# --- the shared consistency check ------------------------------------------
+
+def test_check_row_kinds():
+    rec = build_record(spec(Z3, 1, 0), 2)          # Prop6 and Prop8_e1 both fire
+    assert rec.db_closed.params_echo["overlaps"] == [("Prop8_e1", 2)]
+    assert rec.checks == [
+        ("overlap", ["Prop6", 2], ["Prop8_e1", 2], True),
+        ("rule", 2, 2, True),
+        ("cor2", [2, 2], 2, True),
+    ]
+    rec = build_record(spec(Z3, 2, 4), 5)          # Cor2 interval row
+    assert rec.checks == [("interval", [7, 15], 9, True), ("cor2", [7, 15], 9, True)]
+
+
+def test_check_row_without_brute_tests_the_exact_value():
+    rec = build_record(spec(Z3, 2, 1), 2, with_brute=False)   # Thm9 gives 3
+    assert rec.db_brute is None
+    assert rec.checks == [("prop7", [3, 4], 3, True), ("cor2", [3, 4], 3, True)]
+    # an interval row has no value to test without brute force
+    assert build_record(spec(Z3, 2, 4), 5, with_brute=False).checks == []
+
+
+def test_disagreeing_rules_fail_the_overlap_check(monkeypatch):
+    # a wrong Thm11 that fires beside Thm9 at (p,e,m,i,b) = (3,2,1,1,2)
+    monkeypatch.setattr(codes, "thm11_decompositions", lambda s, b: [(1, 0)])
+    s = spec(Z3, 2, 1)
+    res = closed_form_db(s, 2)
+    assert (res.value, res.rule) == (3, "Thm9")
+    assert res.params_echo["overlaps"] == [("Thm11", 6)]
+    for with_brute in (True, False):
+        rec = build_record(s, 2, with_brute=with_brute)
+        assert not rec.consistent
+        assert [c for c in rec.checks if not c[3]] == [
+            ("overlap", ["Thm9", 3], ["Thm11", 6], False)
+        ]
+
+
+def test_wrong_sandwich_fails_the_cor2_check(monkeypatch):
+    monkeypatch.setattr(codes, "sandwiches", lambda s, b: [("Cor2", (s.n + 1, s.n + 1))])
+    for with_brute in (True, False):
+        rec = build_record(spec(Z3, 2, 7), 2, with_brute=with_brute)   # Thm11: 9
+        assert not rec.consistent
+        assert [c for c in rec.checks if not c[3]] == [("cor2", [10, 10], 9, False)]

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from bsym import verify
+from bsym import codes, verify
 from bsym.verify import SuiteConfig, report_json, run_suites
 
 SMALL = SuiteConfig(seed=7, trials=2000, lemma_trials=100, exhaustive_n_max=8)
@@ -71,3 +71,20 @@ def test_suite_self_check_detects_mutation():
 def test_config_validation():
     with pytest.raises(ValueError):
         SuiteConfig(trials=0)
+
+
+def test_code_suite_reports_disagreeing_rules(monkeypatch):
+    """A wrong Thm11 beside Thm9 at (p,e,m,i,b) = (3,2,1,1,2) is an overlap failure."""
+    monkeypatch.setattr(codes, "thm11_decompositions", lambda s, b: [(1, 0)])
+    rep = verify.run_code_suite(SuiteConfig(grid=((3, 2, 1),), b_max=2))
+    assert not rep.passed
+    assert {"inputs": {"p": 3, "e": 2, "m": 1, "i": 1, "b": 2, "kind": "overlap"},
+            "expected": ["Thm9", 3], "actual": ["Thm11", 6]} in rep.failures
+
+
+def test_bounds_suite_reports_a_wrong_cor2(monkeypatch):
+    monkeypatch.setattr(codes, "sandwiches", lambda s, b: [("Cor2", (s.n + 1, s.n + 1))])
+    rep = verify.run_bounds_suite(SuiteConfig(trials=10, grid=((3, 2, 1),), b_max=2))
+    assert not rep.passed
+    assert {f["inputs"]["kind"] for f in rep.failures} == {"cor2"}
+    assert rep.coverage["cor2"] == 10 and "prop7" not in rep.coverage
