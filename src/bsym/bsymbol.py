@@ -14,6 +14,8 @@ disagreement, and the unguarded sum would exceed n.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from operator import ne
 
 from .errors import (
     HypothesisViolatedError,
@@ -97,30 +99,39 @@ def dist_b_oracle(x: Word, y: Word, b: int) -> int:
     return count
 
 
-def _circular_true_runs(flags):
-    """Maximal circular runs of True in a boolean list, as (start, length)."""
-    n = len(flags)
-    if all(flags):
-        return [(0, n)]
-    if not any(flags):
-        return []
-    runs = []
-    # anchor at a False position so runs never straddle the scan start
-    anchor = flags.index(False)
-    j = 0
-    while j < n:
-        k = (anchor + j) % n
-        if flags[k]:
-            start = k
-            length = 0
-            while j < n and flags[(anchor + j) % n]:
-                length += 1
-                j += 1
-            runs.append((start, length))
-        else:
-            j += 1
-    runs.sort()
-    return runs
+def _partition(x: Word, y: Word, b: int):
+    """(d_h, gaps, runs, full_circle) of the pair, gaps and runs as
+    (start, length) in start order.
+
+    Read from the sorted disagreement positions: the agreement run after
+    disagreement j has length next_j - j - 1, taken circularly, and it is a
+    gap when that is >= b - 1.  Each run goes from the disagreement that ends
+    one gap to the one that starts the next.
+    """
+    xs, ys = x.symbols, y.symbols
+    n = len(xs)
+    diff = list(compress(range(n), map(ne, xs, ys)))
+    d_h = len(diff)
+    if not d_h:
+        return 0, ((0, n),), (), False
+    gaps = []
+    prev = diff[-1] - n          # the last disagreement, one turn back
+    for j in diff:
+        if j - prev >= b:        # agreements prev+1 .. j-1, at least b - 1
+            gaps.append((prev + 1, j - prev - 1))
+        prev = j
+    if not gaps:
+        return d_h, (), ((diff[0], n),), True
+    # the first gap may start before 0; every run starts at a disagreement
+    # in range(n), so the runs come out in start order
+    ends = [s + ln for s, ln in gaps]
+    runs = [(e, s - e) for e, (s, _) in zip(ends, gaps[1:])]
+    runs.append((ends[-1], gaps[0][0] + n - ends[-1]))
+    s0, ln0 = gaps[0]
+    if s0 < 0:                   # the gap across n-1 -> 0 starts last
+        gaps.append((s0 + n, ln0))
+        del gaps[0]
+    return d_h, tuple(gaps), tuple(runs), False
 
 
 def run_partition(x: Word, y: Word, b: int) -> RunPartition:
@@ -128,32 +139,14 @@ def run_partition(x: Word, y: Word, b: int) -> RunPartition:
     _check_pair(x, y)
     n = x.n
     _check_width(b, n, lo=2)
-    agree = [xs == ys for xs, ys in zip(x.symbols, y.symbols)]
-    d_h = n - sum(agree)
-
-    if d_h == 0:
-        whole = CircularInterval(0, n, n)
-        return RunPartition(n, b, (whole,), (), 0, 0, False)
-
-    agree_runs = _circular_true_runs(agree)
-    gaps = [CircularInterval(s, ln, n) for s, ln in agree_runs if ln >= b - 1]
-
-    if not gaps:
-        start = agree.index(False)
-        run = CircularInterval(start, n, n)
-        return RunPartition(n, b, (), (run,), 1, n - d_h, True)
-
-    gaps.sort(key=lambda g: g.start)
-    runs = []
-    for idx, g in enumerate(gaps):
-        nxt = gaps[(idx + 1) % len(gaps)]
-        start = (g.start + g.length) % n
-        length = (nxt.start - start) % n
-        if length:
-            runs.append(CircularInterval(start, length, n))
-    runs.sort(key=lambda r: r.start)
-    active = sum(r.length for r in runs)
-    return RunPartition(n, b, tuple(gaps), tuple(runs), len(runs), active - d_h, False)
+    d_h, gaps, runs, full_circle = _partition(x, y, b)
+    active = sum(ln for _, ln in runs)
+    return RunPartition(
+        n, b,
+        tuple(CircularInterval(s, ln, n) for s, ln in gaps),
+        tuple(CircularInterval(s, ln, n) for s, ln in runs),
+        len(runs), active - d_h, full_circle,
+    )
 
 
 def dist_b_formula(x: Word, y: Word, b: int) -> int:
@@ -162,14 +155,14 @@ def dist_b_formula(x: Word, y: Word, b: int) -> int:
     n = x.n
     _check_width(b, n)
     if b == 1:
-        return sum(1 for xs, ys in zip(x.symbols, y.symbols) if xs != ys)
-    part = run_partition(x, y, b)
-    if not part.runs:
+        return sum(map(ne, x.symbols, y.symbols))
+    d_h, _, runs, full_circle = _partition(x, y, b)
+    if not runs:
         return 0
-    if part.full_circle:
+    if full_circle:
         return n
-    d_h = sum(1 for xs, ys in zip(x.symbols, y.symbols) if xs != ys)
-    return d_h + part.agreement_excess + part.L * (b - 1)
+    excess = sum(ln for _, ln in runs) - d_h
+    return d_h + excess + len(runs) * (b - 1)
 
 
 def weight_b_formula(x: Word, b: int) -> int:

@@ -10,6 +10,7 @@ import argparse
 import csv
 import json
 import sys
+from itertools import chain
 
 from . import codes, verify
 from .bsymbol import dist_b_formula, dist_b_oracle, pi_b
@@ -136,23 +137,37 @@ def _make_field(args):
     return make_field(args.p, args.m, modulus)
 
 
-def _emit_records(records, fmt: str, out_path):
+def _emit_records(records, fmt: str, out_path) -> bool:
+    """Write each record as it comes; True when every one is consistent.
+
+    The JSON is the layout of json.dump(list, indent=2), one item at a time.
+    """
+    consistent = True
     stream = open(out_path, "w", newline="") if out_path else sys.stdout
     try:
         if fmt == "csv":
             writer = csv.writer(stream)
             writer.writerow(codes.CSV_COLUMNS)
-            for rec in records:
-                d = record_to_dict(rec)
+        else:
+            stream.write("[")
+        rows = 0
+        for rec in records:
+            d = record_to_dict(rec)
+            consistent = consistent and d["consistent"]
+            if fmt == "csv":
                 writer.writerow(
                     ["" if d[c] is None else d[c] for c in codes.CSV_COLUMNS]
                 )
-        else:
-            json.dump([record_to_dict(r) for r in records], stream, indent=2)
-            stream.write("\n")
+            else:
+                item = json.dumps(d, indent=2).replace("\n", "\n  ")
+                stream.write(f"{',' if rows else ''}\n  {item}")
+            rows += 1
+        if fmt == "json":
+            stream.write("\n]\n" if rows else "]\n")
     finally:
         if out_path:
             stream.close()
+    return consistent
 
 
 def _cmd_code(args) -> int:
@@ -162,9 +177,8 @@ def _cmd_code(args) -> int:
     if args.format == "plain":
         d = record_to_dict(rec)
         print(" ".join(f"{k}={'' if v is None else v}" for k, v in d.items()))
-    else:
-        _emit_records([rec], args.format, None)
-    return 0 if rec.consistent else 2
+        return 0 if rec.consistent else 2
+    return 0 if _emit_records([rec], args.format, None) else 2
 
 
 def _cmd_table(args) -> int:
@@ -173,13 +187,19 @@ def _cmd_table(args) -> int:
     b_lo, b_hi = parse_range(args.b)
     i_lo, i_hi = parse_range(args.i) if args.i else (0, n)
     cap = _cap(args)
-    records = []
-    for i in range(i_lo, i_hi + 1):
-        spec = CyclicCodeSpec(f, args.e, i)
-        for b in range(b_lo, b_hi + 1):
-            records.append(build_record(spec, b, cap, with_brute=not args.no_brute))
-    _emit_records(records, args.format, args.out)
-    return 0 if all(r.consistent for r in records) else 2
+    widths = range(b_lo, b_hi + 1)
+    with_brute = not args.no_brute
+    first = []
+    if i_lo <= i_hi:
+        # Rows are written as they are built, so every error is raised before
+        # the first write, in the order of the sweep: the rows of C_{i_lo},
+        # the largest code, test every width and the cap, then a bad i_hi.
+        spec = CyclicCodeSpec(f, args.e, i_lo)
+        first = [build_record(spec, b, cap, with_brute) for b in widths]
+        CyclicCodeSpec(f, args.e, min(i_hi, n + 1))
+    rest = (build_record(CyclicCodeSpec(f, args.e, i), b, cap, with_brute)
+            for i in range(i_lo + 1, i_hi + 1) for b in widths)
+    return 0 if _emit_records(chain(first, rest), args.format, args.out) else 2
 
 
 def _cmd_verify(args) -> int:

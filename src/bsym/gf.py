@@ -64,22 +64,50 @@ def _zp_mod(a, b, p):
     return a
 
 
+def _zp_mulmod(a, b, f, p):
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+    return _zp_mod([c % p for c in prod], f, p)
+
+
+def _zp_powmod(h, k, f, p):
+    """h^k mod f, by square-and-multiply."""
+    result = [1]
+    while k:
+        if k & 1:
+            result = _zp_mulmod(result, h, f, p)
+        k >>= 1
+        if k:
+            h = _zp_mulmod(h, h, f, p)
+    return result
+
+
+def _zp_gcd(a, b, p):
+    a, b = _zp_trim(list(a)), _zp_trim(list(b))
+    while b:
+        a, b = b, _zp_mod(a, b, p)
+    return a
+
+
+def _prime_divisors(m: int):
+    return [r for r in range(2, m + 1) if m % r == 0 and is_prime(r)]
+
+
 def _zp_irreducible(modulus, p, m) -> bool:
-    """Trial division against every monic polynomial of degree 1..m//2."""
+    """Rabin's test: the monic f of degree m is irreducible over Z_p iff
+    x^(p^m) = x mod f and gcd(x^(p^(m/r)) - x, f) = 1 for each prime r | m."""
     if len(modulus) != m + 1 or modulus[-1] != 1:
         return False
-    for deg in range(1, m // 2 + 1):
-        # all monic polynomials of degree deg: p^deg choices of lower coeffs
-        for code in range(p ** deg):
-            cand = []
-            v = code
-            for _ in range(deg):
-                cand.append(v % p)
-                v //= p
-            cand.append(1)
-            if not _zp_mod(modulus, cand, p):
-                return False
-    return True
+    x = _zp_mod([0, 1], modulus, p)
+    for r in _prime_divisors(m):
+        h = _zp_powmod(x, p ** (m // r), modulus, p) + [0, 0]
+        h[1] = (h[1] - 1) % p                  # h - x
+        if len(_zp_gcd(modulus, h, p)) != 1:
+            return False
+    return _zp_powmod(x, p ** m, modulus, p) == x
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ import json
 import random
 import time
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 
 from . import codes
 from .bsymbol import (
@@ -95,8 +96,33 @@ def _binary_word_from_mask(mask: int, n: int) -> Word:
     return Word(tuple((mask >> j) & 1 for j in range(n)))
 
 
+@lru_cache(maxsize=None)
+def _top_byte_table(q: int) -> bytes:
+    """byte -> its top q.bit_length() bits if they are below q, else 0xFF."""
+    shift = 8 - q.bit_length()
+    return bytes(v >> shift if v >> shift < q else 0xFF for v in range(256))
+
+
 def _random_word(rng: random.Random, n: int, q: int) -> Word:
-    return Word(tuple(rng.randrange(q) for _ in range(n)))
+    """The word [rng.randrange(q) for _ in range(n)], drawn in blocks.
+
+    For 2 <= q <= 255, randrange(q) takes the top q.bit_length() bits of one
+    32-bit Mersenne Twister output and draws again while they are >= q.
+    getrandbits(32 * need) returns `need` consecutive outputs, the first in
+    the lowest 32 bits, so the top byte of each is every fourth byte of its
+    little-endian form.  Each missing symbol takes at least one output, so no
+    output past the last accepted one is drawn: the values and the generator
+    state afterwards are those of the randrange calls.
+    """
+    if not 2 <= q <= 255:
+        raise InvalidParameterError(f"random words need 2 <= q <= 255, not q={q}")
+    table = _top_byte_table(q)
+    out = b""
+    while len(out) < n:
+        need = n - len(out)
+        top = rng.getrandbits(32 * need).to_bytes(4 * need, "little")[3::4]
+        out += top.translate(table).replace(b"\xff", b"")
+    return Word(tuple(out))
 
 
 def run_formula_suite(cfg: SuiteConfig) -> SuiteReport:

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -129,6 +130,72 @@ def test_partition_run_endpoints_are_disagreements():
                 assert x.symbols[(r.start + r.length - 1) % 8] != 0
             for g in part.gaps:
                 assert g.length >= b - 1
+
+
+def _maximal_runs(flags):
+    """Maximal circular runs of True as (start, length), by start."""
+    n = len(flags)
+    if all(flags):
+        return [(0, n)]
+    out = []
+    for j in range(n):
+        if flags[j] and not flags[j - 1]:
+            length = 0
+            while flags[(j + length) % n]:
+                length += 1
+            out.append((j, length))
+    return out
+
+
+def _naive_partition(xs, ys, b):
+    """(gaps, runs, L, agreement_excess, full_circle) by scanning positions."""
+    n = len(xs)
+    agree = [s == t for s, t in zip(xs, ys)]
+    if all(agree):
+        return [(0, n)], [], 0, 0, False
+    gaps = [(s, ln) for s, ln in _maximal_runs(agree) if ln >= b - 1]
+    in_gap = [False] * n
+    for s, ln in gaps:
+        for t in range(ln):
+            in_gap[(s + t) % n] = True
+    if not gaps:
+        runs = [(agree.index(False), n)]
+    else:
+        runs = _maximal_runs([not g for g in in_gap])
+    trapped = sum(1 for j in range(n) if agree[j] and not in_gap[j])
+    return gaps, runs, len(runs), trapped, not gaps
+
+
+def _partition_tuples(part):
+    return ([(g.start, g.length) for g in part.gaps],
+            [(r.start, r.length) for r in part.runs],
+            part.L, part.agreement_excess, part.full_circle)
+
+
+def test_partition_is_complete_and_maximal():
+    seen = {"equal": 0, "full_circle": 0, "split": 0}
+
+    def check(xs, ys, b):
+        expected = _naive_partition(xs, ys, b)
+        assert _partition_tuples(run_partition(Word(xs), Word(ys), b)) == expected
+        _, runs, _, _, full_circle = expected
+        seen["equal" if not runs else "full_circle" if full_circle else "split"] += 1
+
+    for n in range(2, 9):
+        zero = (0,) * n
+        for mask in range(2 ** n):
+            x = tuple((mask >> j) & 1 for j in range(n))
+            for b in range(2, n + 1):
+                check(x, zero, b)
+    rng = random.Random(5)
+    for _ in range(400):
+        q = rng.choice((3, 4))
+        n = rng.randrange(2, 31)
+        x = tuple(rng.randrange(q) for _ in range(n))
+        y = x if rng.random() < 0.05 else tuple(rng.randrange(q) for _ in range(n))
+        for b in range(2, n + 1):
+            check(x, y, b)
+    assert min(seen.values()) > 0, seen
 
 
 # --- distances ------------------------------------------------------------

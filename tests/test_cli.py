@@ -262,3 +262,52 @@ def test_cap_refusal_does_not_build_the_code_size():
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr == ("error: code has 2^1099511627775 codewords, "
                            "above the enumeration cap 4194304\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--p", "3", "--e", "2", "--b", "2..3"],
+    ["--p", "2", "--e", "2", "--b", "3..2"],
+    ["--p", "2", "--e", "3", "--b", "2", "--i", "5..3"],
+])
+def test_table_json_is_the_json_dump_layout(capsys, argv):
+    code, out, _ = run(capsys, "table", *argv, "--format", "json")
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--b", "2..9"],                 # b = 9 > n = 8, after the rows of b <= 8
+    ["--b", "1..3"],
+    ["--b", "2", "--i", "0..9"],     # i = 9 > n, after the rows of i <= 8
+    ["--b", "2", "--i=-1..3"],
+    ["--b", "2", "--cap", "100"],    # C_0 has 256 codewords
+])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_table_error_writes_nothing(tmp_path, capsys, argv, fmt):
+    code, out, err = run(capsys, "table", "--p", "2", "--e", "3", *argv,
+                         "--format", fmt)
+    assert code == 1 and out == "" and err.count("\n") == 1
+    path = tmp_path / "t.out"
+    code, _, _ = run(capsys, "table", "--p", "2", "--e", "3", *argv,
+                     "--format", fmt, "--out", str(path))
+    assert code == 1 and not path.exists()
+
+
+def _table_peak_rss_mib(e: int) -> float:
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    env.pop("BSYM_CAP", None)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bsym.cli", "table", "--p", "2", "--e", str(e),
+         "--b", "2", "--no-brute", "--format", "csv"],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0
+    return usage.ru_maxrss / 1024        # KiB on Linux
+
+
+def test_table_rows_are_streamed():
+    # 16x the rows from e = 12 to e = 16; a held list grew by about 48 MiB
+    assert _table_peak_rss_mib(16) < _table_peak_rss_mib(12) + 4

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 
@@ -32,6 +33,61 @@ def test_make_field_rejects_reducible():
     # x^2 + 1 = (x+1)^2 over Z_2
     with pytest.raises(NotIrreducibleError):
         make_field(2, 2, [1, 0, 1])
+
+
+def _irreducible_by_trial_division(c, p):
+    """Reference: no monic factor of degree 1..m//2 divides c."""
+    m = len(c) - 1
+    for deg in range(1, m // 2 + 1):
+        for lower in itertools.product(range(p), repeat=deg):
+            if not gf._zp_mod(c, [*lower, 1], p):
+                return False
+    return True
+
+
+def _zp_product(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return out
+
+
+@pytest.mark.parametrize("p,m_max,top_count", [(2, 8, 30), (3, 4, 18), (5, 3, 40)])
+def test_rabin_test_matches_trial_division(p, m_max, top_count):
+    for m in range(1, m_max + 1):
+        irreducible = 0
+        for lower in itertools.product(range(p), repeat=m):
+            c = [*lower, 1]
+            expected = _irreducible_by_trial_division(c, p)
+            assert gf._zp_irreducible(c, p, m) == expected, c
+            irreducible += expected
+    # Gauss's count of the monic irreducibles of degree m_max
+    assert irreducible == top_count
+
+
+def test_large_irreducible_modulus_is_fast():
+    modulus = [1, 1] + [0] * 125 + [1]          # x^127 + x + 1
+    t0 = time.perf_counter()
+    f = make_field(2, 127, modulus)
+    assert time.perf_counter() - t0 < 0.5
+    assert f.q == 2 ** 127
+
+
+@pytest.mark.parametrize("degrees", [(10, 11), (10, 10)])
+def test_reducible_modulus_without_small_factor(degrees):
+    # x^10 + x^3 + 1, its reciprocal x^10 + x^7 + 1, and x^11 + x^2 + 1
+    factors = {10: [[1, 0, 0, 1] + [0] * 6 + [1], [1] + [0] * 6 + [1, 0, 0, 1]],
+               11: [[1, 0, 1] + [0] * 8 + [1]]}
+    a = factors[degrees[0]][0]
+    b = factors[degrees[1]][-1]
+    assert a != b
+    assert _irreducible_by_trial_division(a, 2)
+    assert _irreducible_by_trial_division(b, 2)
+    modulus = _zp_product(a, b, 2)
+    assert not gf._zp_irreducible(modulus, 2, sum(degrees))
+    with pytest.raises(NotIrreducibleError):
+        make_field(2, sum(degrees), modulus)
 
 
 def test_make_field_rejects_nonprime():

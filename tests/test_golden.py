@@ -1,9 +1,9 @@
 """Golden stdout of the CLI and the demos, pinned by sha256.
 
 Each command runs in a fresh interpreter with PYTHONPATH=src.  The digests
-fix the exact bytes of the verify JSON for a seed, the CSV/JSON tables, one
-brute-force row over F_9 and the three demos; any change to them is a change
-of output, not a refactoring.
+fix the exact bytes of the verify JSON for three seeds, the CSV/JSON tables,
+one brute-force row over F_9 and the three demos; any change to them is a
+change of output, not a refactoring.
 """
 
 import hashlib
@@ -20,6 +20,10 @@ CLI = ["-m", "bsym.cli"]
 GOLDEN = [
     (CLI + ["verify", "--seed", "42", "--trials", "2000"],
      "d869fb9d8077b578f7d12a79e3783dfb7b46f253e38a703a03aeb91ce9fac0c3"),
+    (CLI + ["verify", "--suite", "formula", "--seed", "7", "--trials", "20000"],
+     "d25b6b764edace698b5678c1eba0af439f1186436c35b0ec63f615b8c71bbd36"),
+    (CLI + ["verify", "--suite", "bounds", "--seed", "123", "--trials", "20000"],
+     "6a793f9d94d25d40f1dc8b55170f374d8cce07257cb6ce6d55b709fbe284a8a6"),
     (CLI + ["table", "--p", "3", "--e", "2", "--b", "2..3", "--format", "csv"],
      "4cd7aed51d0055f8ba29025797c8eadd2c31702fe5d6158ddc041b726b81e895"),
     (CLI + ["table", "--p", "2", "--e", "3", "--m", "2", "--b", "2..4",

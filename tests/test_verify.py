@@ -1,8 +1,10 @@
 import json
+import random
 
 import pytest
 
 from bsym import codes, verify
+from bsym.errors import InvalidParameterError
 from bsym.verify import SuiteConfig, report_json, run_suites
 
 SMALL = SuiteConfig(seed=7, trials=2000, lemma_trials=100, exhaustive_n_max=8)
@@ -88,3 +90,19 @@ def test_bounds_suite_reports_a_wrong_cor2(monkeypatch):
     assert not rep.passed
     assert {f["inputs"]["kind"] for f in rep.failures} == {"cor2"}
     assert rep.coverage["cor2"] == 10 and "prop7" not in rep.coverage
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9, 16, 200, 255])
+def test_random_word_is_the_randrange_stream(q):
+    for seed in range(300):
+        for n in (1, 2, 7, 30, 61):
+            fast, ref = random.Random(seed), random.Random(seed)
+            word = verify._random_word(fast, n, q)
+            assert word.symbols == tuple(ref.randrange(q) for _ in range(n))
+            assert fast.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("q", [0, 1, 256])
+def test_random_word_refuses_q_outside_a_byte(q):
+    with pytest.raises(InvalidParameterError):
+        verify._random_word(random.Random(0), 5, q)
