@@ -65,12 +65,13 @@ def _zp_mod(a, b, p):
 
 
 def _zp_mulmod(a, b, f, p):
+    """a * b mod f over Z_p."""
     prod = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
-                prod[i + j] += x * y
-    return _zp_mod([c % p for c in prod], f, p)
+                prod[i + j] = (prod[i + j] + x * y) % p
+    return _zp_mod(prod, f, p)
 
 
 def _zp_powmod(h, k, f, p):
@@ -181,16 +182,10 @@ def neg(f: FieldParams, a: int) -> int:
 
 
 def mul(f: FieldParams, a: int, b: int) -> int:
-    p, m = f.p, f.m
-    if m == 1:
+    p = f.p
+    if f.m == 1:
         return (a * b) % p
-    prod = [0] * (2 * m - 1)
-    b_digits = _digits(f, b)
-    for i, x in enumerate(_digits(f, a)):
-        if x:
-            for j, y in enumerate(b_digits):
-                prod[i + j] = (prod[i + j] + x * y) % p
-    return _element(p, _zp_mod(prod, f.modulus, p))
+    return _element(p, _zp_mulmod(_digits(f, a), _digits(f, b), f.modulus, p))
 
 
 def pow_(f: FieldParams, a: int, k: int) -> int:
