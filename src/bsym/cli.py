@@ -24,11 +24,14 @@ def parse_range(text: str):
     """Inclusive `a..b` range, or a single value."""
     lo, sep, hi = text.partition("..")
     try:
-        return int(lo), int(hi if sep else lo)
+        lo, hi = int(lo), int(hi if sep else lo)
     except ValueError:
         raise UsageError(
             f"cannot parse range {text!r}: expected a..b or an integer"
         ) from None
+    if lo > hi:
+        raise UsageError(f"empty range {text!r}: {lo} > {hi}")
+    return lo, hi
 
 
 def parse_generic_word(text: str) -> Word:
@@ -163,7 +166,7 @@ def _emit_records(records, fmt: str, out_path) -> bool:
                 stream.write(f"{',' if rows else ''}\n  {item}")
             rows += 1
         if fmt == "json":
-            stream.write("\n]\n" if rows else "]\n")
+            stream.write("\n]\n")
     finally:
         if out_path:
             stream.close()
@@ -189,14 +192,12 @@ def _cmd_table(args) -> int:
     cap = _cap(args)
     widths = range(b_lo, b_hi + 1)
     with_brute = not args.no_brute
-    first = []
-    if i_lo <= i_hi:
-        # Rows are written as they are built, so every error is raised before
-        # the first write, in the order of the sweep: the rows of C_{i_lo},
-        # the largest code, test every width and the cap, then a bad i_hi.
-        spec = CyclicCodeSpec(f, args.e, i_lo)
-        first = [build_record(spec, b, cap, with_brute) for b in widths]
-        CyclicCodeSpec(f, args.e, min(i_hi, n + 1))
+    # Rows are written as they are built, so every error is raised before
+    # the first write, in the order of the sweep: the rows of C_{i_lo}, the
+    # largest code, test every width and the cap, then a bad i_hi.
+    spec = CyclicCodeSpec(f, args.e, i_lo)
+    first = [build_record(spec, b, cap, with_brute) for b in widths]
+    CyclicCodeSpec(f, args.e, min(i_hi, n + 1))
     rest = (build_record(CyclicCodeSpec(f, args.e, i), b, cap, with_brute)
             for i in range(i_lo + 1, i_hi + 1) for b in widths)
     return 0 if _emit_records(chain(first, rest), args.format, args.out) else 2

@@ -36,6 +36,8 @@ from .gf import FieldParams
 from .polyring import Poly, Word, poly_mul, to_word, xminus1_pow
 
 DEFAULT_CAP = 2 ** 22
+MAX_LENGTH_BITS = 8192       # the largest code length is n = p^e <= 2^8192
+_MAX_LENGTH = 2 ** MAX_LENGTH_BITS
 
 
 def check_cap(value, source: str) -> int:
@@ -64,6 +66,11 @@ class CyclicCodeSpec:
     def __post_init__(self):
         if self.e < 1:
             raise InvalidParameterError(f"e={self.e} must be >= 1")
+        # p^e >= 2^(e * (bit_length - 1)), so the first test needs no power
+        if (self.e * (self.p.bit_length() - 1) > MAX_LENGTH_BITS
+                or self.n > _MAX_LENGTH):
+            raise InvalidParameterError(
+                f"length p^e = {self.p}^{self.e} is above 2^{MAX_LENGTH_BITS}")
         if not (0 <= self.i <= self.n):
             raise IndexOutOfRangeError(f"i={self.i} outside [0, {self.n}]")
 

@@ -29,14 +29,36 @@ DEFAULT_MODULI = {
 }
 
 
+# Miller-Rabin with the first 13 primes as bases decides every p below this
+# bound exactly (Sorenson and Webster, "Strong pseudoprimes to twelve prime
+# bases", Math. Comp. 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_LIMIT = 3317044064679887385961981
+
+
 def is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin; refuses p >= MR_LIMIT, where it is not exact."""
+    if p >= MR_LIMIT:
+        raise InvalidParameterError(
+            f"p={p} is too large: primality is decided only below {MR_LIMIT}")
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for a in _MR_BASES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -135,13 +157,18 @@ def make_field(p: int, m: int = 1, modulus=None) -> FieldParams:
         raise NonPrimeError(p)
     if m < 1:
         raise InvalidParameterError(f"extension degree m={m} must be >= 1")
+    if modulus is not None:
+        modulus = _zp_trim([int(c) % p for c in modulus])
+        if len(modulus) != m + 1:
+            raise InvalidParameterError(
+                f"modulus {modulus} has degree {len(modulus) - 1} mod {p}, not m={m}")
     if m == 1:
         return FieldParams(p, 1, (0, 1))
     if modulus is None:
         if (p, m) not in DEFAULT_MODULI:
             raise NoDefaultModulusError(p, m)
         modulus = DEFAULT_MODULI[(p, m)]
-    modulus = tuple(int(c) % p for c in modulus)
+    modulus = tuple(modulus)
     if not _zp_irreducible(list(modulus), p, m):
         raise NotIrreducibleError(modulus)
     return FieldParams(p, m, modulus)

@@ -145,7 +145,5 @@ def cyclic_shift(w: Word, s: int) -> Word:
     if n == 0:
         return w
     s %= n
-    out = [None] * n
-    for j, sym in enumerate(w.symbols):
-        out[(j + s) % n] = sym
-    return Word(tuple(out))
+    sym = w.symbols
+    return Word(sym[n - s:] + sym[:n - s])

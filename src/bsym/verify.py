@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 import time
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
@@ -54,6 +55,14 @@ class SuiteConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise InvalidParameterError(f"trials={self.trials} must be >= 1")
+        # every seeded draw goes through _Stream, which reads one byte per value
+        if not (1 <= len(self.random_qs) <= 255
+                and all(2 <= q <= 255 for q in self.random_qs)):
+            raise InvalidParameterError(
+                f"random_qs={self.random_qs} must be 1..255 values in 2..255")
+        if self.random_n_max > 255:
+            raise InvalidParameterError(
+                f"random_n_max={self.random_n_max} must be <= 255")
 
 
 @dataclass
@@ -103,26 +112,76 @@ def _top_byte_table(q: int) -> bytes:
     return bytes(v >> shift if v >> shift < q else 0xFF for v in range(256))
 
 
-def _random_word(rng: random.Random, n: int, q: int) -> Word:
-    """The word [rng.randrange(q) for _ in range(n)], drawn in blocks.
+_BLOCK = 4096   # Mersenne Twister outputs drawn per refill
 
-    For 2 <= q <= 255, randrange(q) takes the top q.bit_length() bits of one
-    32-bit Mersenne Twister output and draws again while they are >= q.
-    getrandbits(32 * need) returns `need` consecutive outputs, the first in
+
+@lru_cache(maxsize=None)
+def _accepting(count: int) -> re.Pattern:
+    """Matches the shortest run of mapped bytes holding `count` accepted ones."""
+    return re.compile(rb"(?:\xff*[^\xff]){%d}" % count)
+
+
+class _Stream:
+    """The values rng.randrange would give, read from the generator in blocks.
+
+    For 1 <= k <= 255, randrange(k) takes the top k.bit_length() bits of one
+    32-bit Mersenne Twister output and draws again while they are >= k.
+    getrandbits(32 * _BLOCK) returns _BLOCK consecutive outputs, the first in
     the lowest 32 bits, so the top byte of each is every fourth byte of its
-    little-endian form.  Each missing symbol takes at least one output, so no
-    output past the last accepted one is drawn: the values and the generator
-    state afterwards are those of the randrange calls.
+    little-endian form.  The stream keeps those top bytes and reads them in
+    order, so every value is the one randrange would return.  It draws ahead
+    of what it hands out; `consumed` counts the outputs randrange would have
+    drawn, and nothing else may read the generator.
     """
-    if not 2 <= q <= 255:
-        raise InvalidParameterError(f"random words need 2 <= q <= 255, not q={q}")
-    table = _top_byte_table(q)
-    out = b""
-    while len(out) < n:
-        need = n - len(out)
-        top = rng.getrandbits(32 * need).to_bytes(4 * need, "little")[3::4]
-        out += top.translate(table).replace(b"\xff", b"")
-    return Word(tuple(out))
+
+    def __init__(self, rng: random.Random):
+        self._rng = rng
+        self._tops = b""
+        self._pos = 0
+        self._drawn = 0
+        self._mapped = {}        # q -> self._tops translated by _top_byte_table(q)
+
+    @property
+    def consumed(self) -> int:
+        return self._drawn - len(self._tops) + self._pos
+
+    def _refill(self):
+        new = self._rng.getrandbits(32 * _BLOCK).to_bytes(4 * _BLOCK, "little")[3::4]
+        self._tops = self._tops[self._pos:] + new
+        self._pos = 0
+        self._drawn += _BLOCK
+        self._mapped.clear()
+
+    def below(self, k: int) -> int:
+        """The value randrange(k) would give."""
+        if not 1 <= k <= 255:
+            raise InvalidParameterError(f"random draws need 1 <= k <= 255, not k={k}")
+        shift = 8 - k.bit_length()
+        while True:
+            if self._pos == len(self._tops):
+                self._refill()
+            r = self._tops[self._pos] >> shift
+            self._pos += 1
+            if r < k:
+                return r
+
+    def words(self, n: int, q: int, count: int) -> list:
+        """`count` words of n symbols each: the next n * count values that
+        randrange(q) would give, in order, cut in one regex match."""
+        if not 2 <= q <= 255:
+            raise InvalidParameterError(f"random words need 2 <= q <= 255, not q={q}")
+        pattern = _accepting(n * count)
+        while True:
+            mapped = self._mapped.get(q)
+            if mapped is None:
+                mapped = self._mapped[q] = self._tops.translate(_top_byte_table(q))
+            m = pattern.match(mapped, self._pos)
+            if m:
+                break
+            self._refill()
+        self._pos = m.end()
+        symbols = tuple(m.group().replace(b"\xff", b""))
+        return [Word(symbols[j * n:(j + 1) * n]) for j in range(count)]
 
 
 def run_formula_suite(cfg: SuiteConfig) -> SuiteReport:
@@ -135,7 +194,7 @@ def run_formula_suite(cfg: SuiteConfig) -> SuiteReport:
     """
     rep = SuiteReport("formula")
     t0 = time.perf_counter()
-    rng = random.Random(cfg.seed)
+    stream = _Stream(random.Random(cfg.seed))
 
     for n in range(2, cfg.exhaustive_n_max + 1):
         zero = Word((0,) * n)
@@ -152,10 +211,9 @@ def run_formula_suite(cfg: SuiteConfig) -> SuiteReport:
 
     # explicit binary pairs sampled at random, validating the pattern reduction
     for _ in range(min(cfg.trials // 10, 10_000)):
-        n = rng.randrange(2, cfg.exhaustive_n_max + 1)
-        b = rng.randrange(2, n + 1)
-        x = _random_word(rng, n, 2)
-        y = _random_word(rng, n, 2)
+        n = 2 + stream.below(cfg.exhaustive_n_max - 1)
+        b = 2 + stream.below(n - 1)
+        x, y = stream.words(n, 2, 2)
         pattern = sum(
             1 << j for j in range(n) if x.symbols[j] != y.symbols[j]
         )
@@ -166,11 +224,10 @@ def run_formula_suite(cfg: SuiteConfig) -> SuiteReport:
                      expected, dist_b_formula(x, y, b))
 
     for _ in range(cfg.trials):
-        q = cfg.random_qs[rng.randrange(len(cfg.random_qs))]
-        n = rng.randrange(2, cfg.random_n_max + 1)
-        b = rng.randrange(2, n + 1)
-        x = _random_word(rng, n, q)
-        y = _random_word(rng, n, q)
+        q = cfg.random_qs[stream.below(len(cfg.random_qs))]
+        n = 2 + stream.below(cfg.random_n_max - 1)
+        b = 2 + stream.below(n - 1)
+        x, y = stream.words(n, q, 2)
         f = dist_b_formula(x, y, b)
         o = dist_b_oracle(x, y, b)
         rep.count(f"random_q{q}")
@@ -232,28 +289,25 @@ def run_code_suite(cfg: SuiteConfig) -> SuiteReport:
     return rep
 
 
-def _random_lemma_instance(rng: random.Random, f, e: int):
-    p = f.p
-    n = p ** e
-    k = rng.randrange(1, e) if e > 2 else 1
-    period = p ** (e - k)
-    d = rng.randrange(period)
-    b = rng.randrange(2, period + 1)
-    coeffs = [rng.randrange(f.q) for _ in range(d)]
-    coeffs.append(rng.randrange(1, f.q))  # leading coefficient nonzero
-    g = poly(f, coeffs)
-    return k, b, g
+def _random_lemma_instance(stream: _Stream, f, e: int):
+    k = 1 + stream.below(e - 1) if e > 2 else 1
+    period = f.p ** (e - k)
+    d = stream.below(period)
+    b = 2 + stream.below(period - 1)
+    [low] = stream.words(d, f.q, 1)
+    lead = 1 + stream.below(f.q - 1)     # leading coefficient nonzero
+    return k, b, poly(f, low.symbols + (lead,))
 
 
 def run_lemma_suite(cfg: SuiteConfig) -> SuiteReport:
     """Periodic weight decomposition vs the window-scan oracle on c(x)."""
     rep = SuiteReport("lemma")
     t0 = time.perf_counter()
-    rng = random.Random(cfg.seed)
+    stream = _Stream(random.Random(cfg.seed))
     for p, e in LEMMA_GRID:
         f = make_field(p, 1)
         for _ in range(cfg.lemma_trials):
-            k, b, g = _random_lemma_instance(rng, f, e)
+            k, b, g = _random_lemma_instance(stream, f, e)
             predicted = codes.lemma10_weight(f, e, k, g, b)
             actual = weight_b_oracle(codes.lemma10_codeword(f, e, k, g), b)
             case = "case2" if (g.degree > p ** (e - k) - b) else "case1"
@@ -270,7 +324,7 @@ def run_bounds_suite(cfg: SuiteConfig) -> SuiteReport:
     """Weight/distance sandwiches and monotonicity/invariance properties."""
     rep = SuiteReport("bounds")
     t0 = time.perf_counter()
-    rng = random.Random(cfg.seed)
+    stream = _Stream(random.Random(cfg.seed))
 
     # the worked example from the golden word
     golden = Word((0, 0, 1, 3, 0, 5, 0, 0, 0, 2, 0, 7, 0, 0, 0))
@@ -291,10 +345,10 @@ def run_bounds_suite(cfg: SuiteConfig) -> SuiteReport:
 
     # randomized sandwich + monotonicity in b + shift invariance
     for _ in range(min(cfg.trials, 20_000)):
-        q = cfg.random_qs[rng.randrange(len(cfg.random_qs))]
-        n = rng.randrange(3, cfg.random_n_max + 1)
-        b = rng.randrange(2, n + 1)
-        x = _random_word(rng, n, q)
+        q = cfg.random_qs[stream.below(len(cfg.random_qs))]
+        n = 3 + stream.below(cfg.random_n_max - 2)
+        b = 2 + stream.below(n - 1)
+        [x] = stream.words(n, q, 1)
         w_h = x.hamming_weight()
         wb = weight_b_oracle(x, b)
         if 0 < w_h <= n - (b - 1):
@@ -307,7 +361,7 @@ def run_bounds_suite(cfg: SuiteConfig) -> SuiteReport:
         if wb < wprev:
             rep.fail({"n": n, "b": b, "x": list(x.symbols), "kind": "monotone"},
                      f">={wprev}", wb)
-        s = rng.randrange(n)
+        s = stream.below(n)
         rep.count("shift_invariance")
         if weight_b_oracle(cyclic_shift(x, s), b) != wb:
             rep.fail({"n": n, "b": b, "s": s, "x": list(x.symbols),

@@ -79,11 +79,17 @@ def test_table_csv_row_count(capsys):
     assert len(rows) == 1 + 10 * 2  # i in 0..9, two b values
 
 
-def test_table_empty_range(capsys):
-    code, out, _ = run(capsys, "table", "--p", "2", "--e", "2",
-                       "--b", "3..2", "--format", "csv")
-    assert code == 0
-    assert len(out.strip().splitlines()) == 1  # header only
+def test_table_empty_range(tmp_path, capsys):
+    path = tmp_path / "t.out"
+    for argv in (["--b", "5..2"], ["--b", "2", "--i", "5..1"]):
+        for fmt in ("csv", "json"):
+            code, out, err = run(capsys, "table", "--p", "2", "--e", "3", *argv,
+                                 "--format", fmt)
+            assert code == 1 and out == ""
+            assert err.count("\n") == 1 and "usage error: empty range" in err
+            code, _, _ = run(capsys, "table", "--p", "2", "--e", "3", *argv,
+                             "--format", fmt, "--out", str(path))
+            assert code == 1 and not path.exists()
 
 
 def test_table_out_file(tmp_path, capsys):
@@ -177,6 +183,37 @@ def test_code_bad_parameters_one_line(capsys, argv, needle):
     assert err.count("\n") == 1 and needle in err
 
 
+@pytest.mark.parametrize("argv,needle", [
+    (["--p", "3", "--e", "2", "--m", "1", "--modulus", "1,2,3,4"], "degree 3"),
+    (["--p", "2", "--e", "2", "--m", "3", "--modulus", "1,1,1"], "degree 2"),
+    (["--p", str(3317044064679887385961981), "--e", "1"], "too large"),
+])
+def test_code_refuses_field_one_line(capsys, argv, needle):
+    code, out, err = run(capsys, "code", *argv, "--i", "1", "--b", "2",
+                         "--method", "closed")
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and needle in err
+
+
+def test_code_large_prime_is_fast(capsys):
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "code", "--p", "1000000000000000003", "--e", "1",
+                       "--i", "0", "--b", "2", "--method", "closed")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 0 and "db_rule=Prop6 db_closed=2" in out
+
+
+@pytest.mark.parametrize("e", ["16000", "200000"])
+@pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+def test_code_refuses_a_length_above_8192_bits(capsys, e, fmt):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "code", "--p", "2", "--e", e, "--i", "5",
+                         "--b", "2", "--method", "closed", "--format", fmt)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 1 and out == ""
+    assert err == f"error: length p^e = 2^{e} is above 2^8192\n"
+
+
 def test_table_bad_e_one_line(capsys):
     code, out, err = run(capsys, "table", "--p", "3", "--e", "-1", "--b", "2")
     assert code == 1 and out == ""
@@ -266,8 +303,8 @@ def test_cap_refusal_does_not_build_the_code_size():
 
 @pytest.mark.parametrize("argv", [
     ["--p", "3", "--e", "2", "--b", "2..3"],
-    ["--p", "2", "--e", "2", "--b", "3..2"],
-    ["--p", "2", "--e", "3", "--b", "2", "--i", "5..3"],
+    ["--p", "2", "--e", "2", "--b", "3..4"],
+    ["--p", "2", "--e", "3", "--b", "2", "--i", "5..5"],
 ])
 def test_table_json_is_the_json_dump_layout(capsys, argv):
     code, out, _ = run(capsys, "table", *argv, "--format", "json")

@@ -23,6 +23,7 @@ from bsym.errors import (
     DegreeTooLargeError,
     EnumerationTooLargeError,
     IndexOutOfRangeError,
+    InvalidParameterError,
     WidthOutOfRangeError,
     WidthTooLargeError,
 )
@@ -49,6 +50,14 @@ def test_hamming_formula_p3e2(i, expected):
 def test_hamming_index_out_of_range():
     with pytest.raises(IndexOutOfRangeError):
         spec(Z3, 2, 10)
+
+
+def test_length_bound_is_2_to_the_8192():
+    assert spec(Z2, 8192, 5).n == 2 ** 8192
+    for f, e in ((Z2, 8193), (Z3, 5169), (make_field(8191), 1025), (Z2, 10 ** 30)):
+        with pytest.raises(InvalidParameterError):
+            spec(f, e, 0)
+    assert spec(Z3, 5168, 0).n < 2 ** 8192 < 3 ** 5169
 
 
 @pytest.mark.parametrize("f,e", [(Z2, 2), (Z2, 3), (Z3, 1), (Z3, 2), (Z5, 1)])

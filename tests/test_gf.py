@@ -1,4 +1,5 @@
 import itertools
+import math
 import time
 
 import pytest
@@ -93,6 +94,64 @@ def test_reducible_modulus_without_small_factor(degrees):
 def test_make_field_rejects_nonprime():
     with pytest.raises(NonPrimeError):
         make_field(4)
+
+
+def _prime_by_trial_division(p):
+    return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
+
+
+def _strong_probable_prime(n, a):
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any(pow(x, 2 ** r, n) == n - 1 for r in range(1, s))
+
+
+def test_is_prime_matches_trial_division():
+    for p in range(10 ** 5):
+        assert gf.is_prime(p) == _prime_by_trial_division(p), p
+
+
+@pytest.mark.parametrize("n,bases", [
+    (3215031751, (2, 3, 5, 7)),                                   # 151*751*28351
+    (3825123056546413051, (2, 3, 5, 7, 11, 13, 17, 19, 23)),      # psi_9
+    (318665857834031151167461,
+     (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)),               # psi_12
+])
+def test_is_prime_rejects_strong_pseudoprimes(n, bases):
+    assert all(_strong_probable_prime(n, a) for a in bases)
+    assert not gf.is_prime(n)
+
+
+def test_is_prime_is_fast_on_a_large_prime():
+    t0 = time.perf_counter()
+    assert gf.is_prime(2 ** 61 - 1) and gf.is_prime(10 ** 18 + 3)
+    assert time.perf_counter() - t0 < 0.1
+
+
+def test_is_prime_refuses_p_above_its_exact_range():
+    assert not gf.is_prime(gf.MR_LIMIT - 1)
+    with pytest.raises(InvalidParameterError):
+        gf.is_prime(gf.MR_LIMIT)
+    with pytest.raises(InvalidParameterError):
+        make_field(2 ** 89 - 1)
+
+
+@pytest.mark.parametrize("p,m,modulus", [
+    (3, 1, [1, 2, 3, 4]),        # degree 3 mod 3
+    (2, 3, [1, 1, 1]),           # degree 2
+    (2, 2, [1, 1, 2]),           # x + 1 once reduced mod 2
+    (3, 1, [0, 3]),              # the zero polynomial mod 3
+])
+def test_make_field_refuses_a_modulus_of_the_wrong_degree(p, m, modulus):
+    with pytest.raises(InvalidParameterError):
+        make_field(p, m, modulus)
+
+
+def test_make_field_accepts_a_modulus_of_degree_m():
+    assert make_field(3, 1, [1, 1]) == make_field(3)
+    assert make_field(2, 2, [1, 1, 1, 2]) == make_field(2, 2)
 
 
 def test_make_field_no_default_modulus():

@@ -89,6 +89,22 @@ def test_cyclic_shift():
     assert cyclic_shift(w, 3).symbols == w.symbols
 
 
+def _shift_by_placement(w, s):
+    """The definition: the symbol at position j moves to (j + s) mod n."""
+    n = w.n
+    out = [None] * n
+    for j, sym in enumerate(w.symbols):
+        out[(j + s) % n] = sym
+    return tuple(out)
+
+
+def test_cyclic_shift_is_the_placement_definition():
+    for n in range(10):
+        w = Word(tuple(range(1, n + 1)))
+        for s in range(-2 * n, 2 * n + 1):
+            assert cyclic_shift(w, s).symbols == _shift_by_placement(w, s), (n, s)
+
+
 def test_shift_matches_mul_by_x():
     n = 9
     a = poly(Z3, [1, 0, 2, 0, 0, 1])

@@ -92,17 +92,79 @@ def test_bounds_suite_reports_a_wrong_cor2(monkeypatch):
     assert rep.coverage["cor2"] == 10 and "prop7" not in rep.coverage
 
 
+def _draw_both(stream, ref, plan):
+    """Run `plan` on the stream and on plain randrange calls of `ref`; each
+    step is ("below", k) or ("words", n, q, count)."""
+    for step in plan:
+        if step[0] == "below":
+            k = step[1]
+            assert stream.below(k) == ref.randrange(k), step
+        else:
+            _, n, q, count = step
+            got = [w.symbols for w in stream.words(n, q, count)]
+            assert got == [tuple(ref.randrange(q) for _ in range(n))
+                           for _ in range(count)], step
+
+
+def _assert_same_state(stream, seed, ref):
+    """`consumed` is the number of outputs the randrange calls drew."""
+    third = random.Random(seed)
+    third.getrandbits(32 * stream.consumed)
+    assert third.getstate() == ref.getstate()
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9, 16, 200, 255])
 def test_random_word_is_the_randrange_stream(q):
+    """_Stream.words and _Stream.below, interleaved, give randrange's values."""
     for seed in range(300):
-        for n in (1, 2, 7, 30, 61):
-            fast, ref = random.Random(seed), random.Random(seed)
-            word = verify._random_word(fast, n, q)
-            assert word.symbols == tuple(ref.randrange(q) for _ in range(n))
-            assert fast.getstate() == ref.getstate()
+        pick = random.Random(-1 - seed)
+        plan = []
+        for n in (1, 2, 7, 30, 61, 0):
+            plan += [("below", pick.randint(1, 255)),
+                     ("words", n, q, pick.randint(1, 3))]
+        stream, ref = verify._Stream(random.Random(seed)), random.Random(seed)
+        _draw_both(stream, ref, plan)
+        _assert_same_state(stream, seed, ref)
+
+
+@pytest.mark.parametrize("q", [2, 3, 200])
+def test_stream_draws_across_block_boundaries(q):
+    """Draws that start in one block of outputs and end in the next, and one
+    word longer than a block, keep the unread tail of the block."""
+    straddled = 0
+    for seed in range(4):
+        pick = random.Random(-1 - seed)
+        stream, ref = verify._Stream(random.Random(seed)), random.Random(seed)
+        while stream.consumed < 3 * verify._BLOCK:
+            step = (("below", pick.randint(1, 255)) if pick.random() < 0.5
+                    else ("words", pick.randint(1, 61), q, pick.randint(1, 3)))
+            first = stream.consumed              # index of the next output
+            _draw_both(stream, ref, [step])
+            last = stream.consumed - 1
+            straddled += first // verify._BLOCK < last // verify._BLOCK
+        _draw_both(stream, ref, [("words", verify._BLOCK + 61, q, 1)])
+        _assert_same_state(stream, seed, ref)
+    assert straddled >= 4          # the plan does cross the boundaries
 
 
 @pytest.mark.parametrize("q", [0, 1, 256])
 def test_random_word_refuses_q_outside_a_byte(q):
     with pytest.raises(InvalidParameterError):
-        verify._random_word(random.Random(0), 5, q)
+        verify._Stream(random.Random(0)).words(5, q, 1)
+
+
+@pytest.mark.parametrize("k", [0, 256])
+def test_stream_below_refuses_k_outside_a_byte(k):
+    with pytest.raises(InvalidParameterError):
+        verify._Stream(random.Random(0)).below(k)
+
+
+@pytest.mark.parametrize("bad", [
+    {"random_qs": (3, 256)},
+    {"random_qs": (1, 4)},
+    {"random_qs": ()},
+    {"random_n_max": 256},
+])
+def test_config_refuses_draws_outside_a_byte(bad):
+    with pytest.raises(InvalidParameterError):
+        SuiteConfig(**bad)
