@@ -32,7 +32,6 @@ from .polyring import (
     Word,
     cyclic_shift,
     poly,
-    poly_add,
     poly_mul,
     to_word,
     xminus1_pow,

@@ -36,9 +36,6 @@ class CircularInterval:
     def indices(self):
         return [(self.start + t) % self.n for t in range(self.length)]
 
-    def __contains__(self, j):
-        return ((j - self.start) % self.n) < self.length
-
 
 @dataclass(frozen=True)
 class RunPartition:
@@ -71,9 +68,12 @@ def pi_b(x: Word, b: int):
 
 def weight_b_oracle(x: Word, b: int) -> int:
     """Number of windows of pi_b(x) that are not identically zero."""
-    n = x.n
-    _check_width(b, n)
-    s = x.symbols
+    _check_width(b, x.n)
+    return _weight_oracle(x.symbols, b)
+
+
+def _weight_oracle(s: tuple, b: int) -> int:
+    n = len(s)
     count = 0
     for j in range(n):
         for t in range(b):
@@ -86,9 +86,12 @@ def weight_b_oracle(x: Word, b: int) -> int:
 def dist_b_oracle(x: Word, y: Word, b: int) -> int:
     """Hamming distance between the two window sequences, by direct scan."""
     _check_pair(x, y)
-    n = x.n
-    _check_width(b, n)
-    xs, ys = x.symbols, y.symbols
+    _check_width(b, x.n)
+    return _dist_oracle(x.symbols, y.symbols, b)
+
+
+def _dist_oracle(xs: tuple, ys: tuple, b: int) -> int:
+    n = len(xs)
     count = 0
     for j in range(n):
         for t in range(b):
@@ -99,7 +102,7 @@ def dist_b_oracle(x: Word, y: Word, b: int) -> int:
     return count
 
 
-def _partition(x: Word, y: Word, b: int):
+def _partition(xs: tuple, ys: tuple, b: int):
     """(d_h, gaps, runs, full_circle) of the pair, gaps and runs as
     (start, length) in start order.
 
@@ -108,7 +111,6 @@ def _partition(x: Word, y: Word, b: int):
     gap when that is >= b - 1.  Each run goes from the disagreement that ends
     one gap to the one that starts the next.
     """
-    xs, ys = x.symbols, y.symbols
     n = len(xs)
     diff = list(compress(range(n), map(ne, xs, ys)))
     d_h = len(diff)
@@ -139,7 +141,7 @@ def run_partition(x: Word, y: Word, b: int) -> RunPartition:
     _check_pair(x, y)
     n = x.n
     _check_width(b, n, lo=2)
-    d_h, gaps, runs, full_circle = _partition(x, y, b)
+    d_h, gaps, runs, full_circle = _partition(x.symbols, y.symbols, b)
     active = sum(ln for _, ln in runs)
     return RunPartition(
         n, b,
@@ -152,15 +154,18 @@ def run_partition(x: Word, y: Word, b: int) -> RunPartition:
 def dist_b_formula(x: Word, y: Word, b: int) -> int:
     """Run-partition route to d_b; must always agree with dist_b_oracle."""
     _check_pair(x, y)
-    n = x.n
-    _check_width(b, n)
+    _check_width(b, x.n)
+    return _dist_formula(x.symbols, y.symbols, b)
+
+
+def _dist_formula(xs: tuple, ys: tuple, b: int) -> int:
     if b == 1:
-        return sum(map(ne, x.symbols, y.symbols))
-    d_h, _, runs, full_circle = _partition(x, y, b)
+        return sum(map(ne, xs, ys))
+    d_h, _, runs, full_circle = _partition(xs, ys, b)
     if not runs:
         return 0
     if full_circle:
-        return n
+        return len(xs)
     excess = sum(ln for _, ln in runs) - d_h
     return d_h + excess + len(runs) * (b - 1)
 
@@ -175,14 +180,18 @@ def weight_run_partition(x: Word, b: int) -> RunPartition:
 
 def check_bounds(x: Word, b: int):
     """Sandwich w_H + b - 1 <= w_b <= b * w_H, valid for 0 < w_H <= n-(b-1)."""
-    n = x.n
-    _check_width(b, n)
-    w_h = x.hamming_weight()
+    _check_width(b, x.n)
+    return _bounds(x.symbols, b)
+
+
+def _bounds(s: tuple, b: int):
+    n = len(s)
+    w_h = sum(1 for v in s if v != 0)
     if not (0 < w_h <= n - (b - 1)):
         raise HypothesisViolatedError(
             f"hamming weight {w_h} outside (0, {n - (b - 1)}]"
         )
     lower = w_h + b - 1
     upper = b * w_h
-    w_b = weight_b_oracle(x, b)
+    w_b = _weight_oracle(s, b)
     return lower, upper, lower <= w_b <= upper

@@ -19,6 +19,8 @@ from .errors import BsymError, UsageError
 from .gf import make_field
 from .polyring import Word
 
+MAX_TABLE_ROWS = 2 ** 20     # i values times widths; p = 2, e = 16 has 65,537 a width
+
 
 def parse_range(text: str):
     """Inclusive `a..b` range, or a single value."""
@@ -50,8 +52,14 @@ def parse_modulus(text: str):
         ) from None
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """One line, as every other bad input gets, instead of usage + error."""
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="bsym",
         description="b-symbol weights/distances and repeated-root cyclic code tables",
     )
@@ -189,6 +197,9 @@ def _cmd_table(args) -> int:
     n = CyclicCodeSpec(f, args.e, 0).n  # validates e before the i range is built
     b_lo, b_hi = parse_range(args.b)
     i_lo, i_hi = parse_range(args.i) if args.i else (0, n)
+    if (i_hi - i_lo + 1) * (b_hi - b_lo + 1) > MAX_TABLE_ROWS:
+        raise UsageError(f"the table has more than {MAX_TABLE_ROWS} rows: "
+                         "narrow --i or --b")
     cap = _cap(args)
     widths = range(b_lo, b_hi + 1)
     with_brute = not args.no_brute
@@ -220,13 +231,11 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    ap = _build_parser()
     try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:
-        return 1 if exc.code not in (0, None) else 0
-    try:
+        args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
+    except SystemExit as exc:        # --help
+        return 1 if exc.code not in (0, None) else 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

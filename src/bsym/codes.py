@@ -18,7 +18,7 @@ for every b in that one pass; `enumerate_codewords` is the slow reference.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 
 from . import gf
@@ -62,15 +62,18 @@ class CyclicCodeSpec:
     field: FieldParams
     e: int
     i: int
+    n: int = dc_field(init=False, repr=False, compare=False)   # p^e
 
     def __post_init__(self):
         if self.e < 1:
             raise InvalidParameterError(f"e={self.e} must be >= 1")
-        # p^e >= 2^(e * (bit_length - 1)), so the first test needs no power
-        if (self.e * (self.p.bit_length() - 1) > MAX_LENGTH_BITS
-                or self.n > _MAX_LENGTH):
+        # p^e >= 2^(e * (bit_length - 1)), so no power is built above that
+        n = (self.p ** self.e if self.e * (self.p.bit_length() - 1) <= MAX_LENGTH_BITS
+             else _MAX_LENGTH + 1)
+        if n > _MAX_LENGTH:
             raise InvalidParameterError(
                 f"length p^e = {self.p}^{self.e} is above 2^{MAX_LENGTH_BITS}")
+        object.__setattr__(self, "n", n)
         if not (0 <= self.i <= self.n):
             raise IndexOutOfRangeError(f"i={self.i} outside [0, {self.n}]")
 
@@ -81,10 +84,6 @@ class CyclicCodeSpec:
     @property
     def m(self) -> int:
         return self.field.m
-
-    @property
-    def n(self) -> int:
-        return self.p ** self.e
 
     @property
     def k_dim(self) -> int:
@@ -134,15 +133,14 @@ def hamming_distance_formula(spec: CyclicCodeSpec) -> int:
         return 1
     if i == n:
         return 0
-    for beta in range(p - 1):
-        if beta * p ** (e - 1) + 1 <= i <= (beta + 1) * p ** (e - 1):
-            return beta + 2
+    # i in [beta p^(e-1) + 1, (beta + 1) p^(e-1)] for beta in 0..p-2
+    if i <= (p - 1) * p ** (e - 1):
+        return (i - 1) // p ** (e - 1) + 2
+    # i - (n - p^(e-k)) in [(t-1) p^(e-k-1) + 1, t p^(e-k-1)] for t in 1..p-1
     for k in range(1, e):
-        for t in range(1, p):
-            lo = n - p ** (e - k) + (t - 1) * p ** (e - k - 1) + 1
-            hi = n - p ** (e - k) + t * p ** (e - k - 1)
-            if lo <= i <= hi:
-                return (t + 1) * p ** k
+        i2, step = i - (n - p ** (e - k)), p ** (e - k - 1)
+        if 0 < i2 <= (p - 1) * step:
+            return ((i2 - 1) // step + 2) * p ** k
     raise AssertionError(f"no branch matched i={i} (p={p}, e={e})")  # unreachable
 
 

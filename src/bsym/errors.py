@@ -41,10 +41,6 @@ class FieldMismatchError(BsymError):
     """Operands belong to different fields."""
 
 
-class DivisionByZeroError(BsymError, ZeroDivisionError):
-    """Multiplicative inverse of zero, or division by the zero polynomial."""
-
-
 class WidthOutOfRangeError(BsymError):
     def __init__(self, b, n):
         super().__init__(f"read width b={b} out of range for length n={n}")

@@ -9,6 +9,7 @@ the word (x_0, ..., x_{n-1}) is the polynomial x_0 + x_1 x + ... + x_{n-1} x^{n-
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import gf
 from .errors import FieldMismatchError, NotAnElementError
@@ -69,13 +70,6 @@ def _check(a: Poly, b: Poly):
         raise FieldMismatchError("polynomials over different fields")
 
 
-def poly_add(a: Poly, b: Poly) -> Poly:
-    _check(a, b)
-    f = a.field
-    n = max(len(a.coeffs), len(b.coeffs))
-    return _trimmed(f, [gf.add(f, a.coeff(j), b.coeff(j)) for j in range(n)])
-
-
 def poly_mul(a: Poly, b: Poly) -> Poly:
     _check(a, b)
     if a.is_zero() or b.is_zero():
@@ -90,8 +84,10 @@ def poly_mul(a: Poly, b: Poly) -> Poly:
     return _trimmed(f, out)
 
 
+@lru_cache(maxsize=256)
 def xminus1_pow(f: FieldParams, i: int) -> Poly:
-    """(x - 1)^i, computed by repeated multiplication in the field."""
+    """(x - 1)^i, computed by repeated multiplication in the field; cached,
+    as every codeword of a lemma instance and every Gray walk starts from it."""
     if i < 0:
         raise ValueError("exponent must be >= 0")
     base = poly(f, [gf.neg(f, 1), 1])

@@ -11,22 +11,23 @@ from __future__ import annotations
 
 import json
 import random
-import re
 import time
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 
 from . import codes
 from .bsymbol import (
+    _bounds,
+    _dist_formula,
+    _dist_oracle,
+    _weight_oracle,
     check_bounds,
-    dist_b_formula,
-    dist_b_oracle,
     weight_b_oracle,
 )
 from .codes import CyclicCodeSpec, hamming_distance_formula
 from .errors import InvalidParameterError
 from .gf import make_field
-from .polyring import Word, cyclic_shift, poly
+from .polyring import Word, poly
 
 DEFAULT_GRID = (
     (2, 2, 1),
@@ -77,9 +78,11 @@ class SuiteReport:
     def passed(self) -> bool:
         return not self.failures
 
-    def count(self, key: str):
-        self.cases += 1
-        self.coverage[key] = self.coverage.get(key, 0) + 1
+    def count(self, key: str, cases: int = 1):
+        """Tally `cases` cases under `key`; a key with none stays out."""
+        if cases:
+            self.cases += cases
+            self.coverage[key] = self.coverage.get(key, 0) + cases
 
     def skip(self, key: str):
         """Tally a case that was not run: in coverage, not in `cases`."""
@@ -101,24 +104,20 @@ class SuiteReport:
         }
 
 
-def _binary_word_from_mask(mask: int, n: int) -> Word:
-    return Word(tuple((mask >> j) & 1 for j in range(n)))
+def _bits(mask: int, n: int) -> tuple:
+    return tuple((mask >> j) & 1 for j in range(n))
 
 
 @lru_cache(maxsize=None)
 def _top_byte_table(q: int) -> bytes:
     """byte -> its top q.bit_length() bits if they are below q, else 0xFF."""
+    if not 2 <= q <= 255:
+        raise InvalidParameterError(f"random words need 2 <= q <= 255, not q={q}")
     shift = 8 - q.bit_length()
     return bytes(v >> shift if v >> shift < q else 0xFF for v in range(256))
 
 
 _BLOCK = 4096   # Mersenne Twister outputs drawn per refill
-
-
-@lru_cache(maxsize=None)
-def _accepting(count: int) -> re.Pattern:
-    """Matches the shortest run of mapped bytes holding `count` accepted ones."""
-    return re.compile(rb"(?:\xff*[^\xff]){%d}" % count)
 
 
 class _Stream:
@@ -165,23 +164,56 @@ class _Stream:
             if r < k:
                 return r
 
-    def words(self, n: int, q: int, count: int) -> list:
-        """`count` words of n symbols each: the next n * count values that
-        randrange(q) would give, in order, cut in one regex match."""
-        if not 2 <= q <= 255:
-            raise InvalidParameterError(f"random words need 2 <= q <= 255, not q={q}")
-        pattern = _accepting(n * count)
+    def trial(self, qs, n_lo: int, n_span: int, count: int):
+        """(q, n, b, symbols): one trial's values of
+            q = qs[randrange(len(qs))]   (an int qs is q itself, with no draw)
+            n = n_lo + randrange(n_span)
+            b = 2 + randrange(n - 1)
+        then `count` words of n values of randrange(q), as one flat tuple.
+
+        The header is read off the top bytes and the words off the block
+        translated by _top_byte_table(q).  A trial that runs past the block
+        is read again from its start after a refill.
+        """
+        pick = not isinstance(qs, int)
+        k = len(qs) if pick else 1
+        if not (0 < k < 256 and 0 < n_span < 256 and 2 <= n_lo <= 257 - n_span):
+            raise InvalidParameterError(
+                f"random trials need 1..255 values of q and of n, and n <= 256, "
+                f"not {k} and {n_lo}..{n_lo + n_span - 1}")
         while True:
+            tops, pos = self._tops, self._pos
+            try:
+                q = qs
+                if pick:
+                    shift = 8 - k.bit_length()
+                    while (r := tops[pos] >> shift) >= k:
+                        pos += 1
+                    pos, q = pos + 1, qs[r]
+                shift = 8 - n_span.bit_length()
+                while (r := tops[pos] >> shift) >= n_span:
+                    pos += 1
+                pos, n = pos + 1, n_lo + r
+                shift = 8 - (n - 1).bit_length()
+                while (r := tops[pos] >> shift) >= n - 1:
+                    pos += 1
+                pos, b = pos + 1, 2 + r
+            except IndexError:          # the header ran past the block
+                self._refill()
+                continue
             mapped = self._mapped.get(q)
             if mapped is None:
-                mapped = self._mapped[q] = self._tops.translate(_top_byte_table(q))
-            m = pattern.match(mapped, self._pos)
-            if m:
-                break
+                mapped = self._mapped[q] = tops.translate(_top_byte_table(q))
+            # [pos, end) holds n * count accepted bytes less `short`; extend
+            # it by `short` until the last extension holds no rejected byte
+            end = pos + n * count
+            short = mapped.count(255, pos, end)
+            while short:
+                end, short = end + short, mapped.count(255, end, end + short)
+            if end <= len(mapped):
+                self._pos = end
+                return q, n, b, tuple(mapped[pos:end].replace(b"\xff", b""))
             self._refill()
-        self._pos = m.end()
-        symbols = tuple(m.group().replace(b"\xff", b""))
-        return [Word(symbols[j * n:(j + 1) * n]) for j in range(count)]
 
 
 def run_formula_suite(cfg: SuiteConfig) -> SuiteReport:
@@ -197,43 +229,41 @@ def run_formula_suite(cfg: SuiteConfig) -> SuiteReport:
     stream = _Stream(random.Random(cfg.seed))
 
     for n in range(2, cfg.exhaustive_n_max + 1):
-        zero = Word((0,) * n)
+        zero = (0,) * n
         for mask in range(2 ** n):
-            y = _binary_word_from_mask(mask, n)
+            y = _bits(mask, n)
             for b in range(2, n + 1):
-                f = dist_b_formula(zero, y, b)
-                o = dist_b_oracle(zero, y, b)
-                rep.count("exhaustive_binary")
+                f = _dist_formula(zero, y, b)
+                o = _dist_oracle(zero, y, b)
                 if f != o:
                     rep.fail({"n": n, "b": b, "pattern": mask}, o, f)
                 if mask == 0 and f != 0:
                     rep.fail({"n": n, "b": b, "pattern": 0, "check": "x=y"}, 0, f)
+        rep.count("exhaustive_binary", 2 ** n * (n - 1))
 
     # explicit binary pairs sampled at random, validating the pattern reduction
-    for _ in range(min(cfg.trials // 10, 10_000)):
-        n = 2 + stream.below(cfg.exhaustive_n_max - 1)
-        b = 2 + stream.below(n - 1)
-        x, y = stream.words(n, 2, 2)
-        pattern = sum(
-            1 << j for j in range(n) if x.symbols[j] != y.symbols[j]
-        )
-        expected = dist_b_oracle(Word((0,) * n), _binary_word_from_mask(pattern, n), b)
-        rep.count("binary_pair_sample")
-        if dist_b_formula(x, y, b) != expected or dist_b_oracle(x, y, b) != expected:
-            rep.fail({"n": n, "b": b, "x": list(x.symbols), "y": list(y.symbols)},
-                     expected, dist_b_formula(x, y, b))
+    samples = min(cfg.trials // 10, 10_000)
+    for _ in range(samples):
+        _, n, b, xy = stream.trial(2, 2, cfg.exhaustive_n_max - 1, 2)
+        x, y = xy[:n], xy[n:]
+        pattern = sum(1 << j for j in range(n) if x[j] != y[j])
+        expected = _dist_oracle((0,) * n, _bits(pattern, n), b)
+        f = _dist_formula(x, y, b)
+        if f != expected or _dist_oracle(x, y, b) != expected:
+            rep.fail({"n": n, "b": b, "x": list(x), "y": list(y)}, expected, f)
+    rep.count("binary_pair_sample", samples)
 
+    cases = dict.fromkeys(cfg.random_qs, 0)
     for _ in range(cfg.trials):
-        q = cfg.random_qs[stream.below(len(cfg.random_qs))]
-        n = 2 + stream.below(cfg.random_n_max - 1)
-        b = 2 + stream.below(n - 1)
-        x, y = stream.words(n, q, 2)
-        f = dist_b_formula(x, y, b)
-        o = dist_b_oracle(x, y, b)
-        rep.count(f"random_q{q}")
+        q, n, b, xy = stream.trial(cfg.random_qs, 2, cfg.random_n_max - 1, 2)
+        x, y = xy[:n], xy[n:]
+        f = _dist_formula(x, y, b)
+        o = _dist_oracle(x, y, b)
+        cases[q] += 1
         if f != o:
-            rep.fail({"n": n, "b": b, "q": q,
-                      "x": list(x.symbols), "y": list(y.symbols)}, o, f)
+            rep.fail({"n": n, "b": b, "q": q, "x": list(x), "y": list(y)}, o, f)
+    for q, count in cases.items():
+        rep.count(f"random_q{q}", count)
 
     rep.elapsed = time.perf_counter() - t0
     return rep
@@ -294,9 +324,9 @@ def _random_lemma_instance(stream: _Stream, f, e: int):
     period = f.p ** (e - k)
     d = stream.below(period)
     b = 2 + stream.below(period - 1)
-    [low] = stream.words(d, f.q, 1)
+    low = [stream.below(f.q) for _ in range(d)]
     lead = 1 + stream.below(f.q - 1)     # leading coefficient nonzero
-    return k, b, poly(f, low.symbols + (lead,))
+    return k, b, poly(f, low + [lead])
 
 
 def run_lemma_suite(cfg: SuiteConfig) -> SuiteReport:
@@ -344,28 +374,27 @@ def run_bounds_suite(cfg: SuiteConfig) -> SuiteReport:
                 rep.fail({"n": n, "b": b, "kind": "single_symbol"}, b, wb)
 
     # randomized sandwich + monotonicity in b + shift invariance
-    for _ in range(min(cfg.trials, 20_000)):
-        q = cfg.random_qs[stream.below(len(cfg.random_qs))]
-        n = 3 + stream.below(cfg.random_n_max - 2)
-        b = 2 + stream.below(n - 1)
-        [x] = stream.words(n, q, 1)
-        w_h = x.hamming_weight()
-        wb = weight_b_oracle(x, b)
-        if 0 < w_h <= n - (b - 1):
-            lo, hi, holds = check_bounds(x, b)
-            rep.count("prop1_random")
+    trials, sandwiched = min(cfg.trials, 20_000), 0
+    for _ in range(trials):
+        _, n, b, x = stream.trial(cfg.random_qs, 3, cfg.random_n_max - 2, 1)
+        wb = _weight_oracle(x, b)
+        if 0 < n - x.count(0) <= n - (b - 1):
+            lo, hi, holds = _bounds(x, b)
+            sandwiched += 1
             if not holds:
-                rep.fail({"n": n, "b": b, "x": list(x.symbols)}, [lo, hi], wb)
-        wprev = weight_b_oracle(x, b - 1)
-        rep.count("monotone_b")
+                rep.fail({"n": n, "b": b, "x": list(x)}, [lo, hi], wb)
+        wprev = _weight_oracle(x, b - 1)
         if wb < wprev:
-            rep.fail({"n": n, "b": b, "x": list(x.symbols), "kind": "monotone"},
+            rep.fail({"n": n, "b": b, "x": list(x), "kind": "monotone"},
                      f">={wprev}", wb)
         s = stream.below(n)
-        rep.count("shift_invariance")
-        if weight_b_oracle(cyclic_shift(x, s), b) != wb:
-            rep.fail({"n": n, "b": b, "s": s, "x": list(x.symbols),
-                      "kind": "shift"}, wb, weight_b_oracle(cyclic_shift(x, s), b))
+        shifted = _weight_oracle(x[n - s:] + x[:n - s], b)    # cyclic_shift(x, s)
+        if shifted != wb:
+            rep.fail({"n": n, "b": b, "s": s, "x": list(x), "kind": "shift"},
+                     wb, shifted)
+    rep.count("prop1_random", sandwiched)
+    rep.count("monotone_b", trials)
+    rep.count("shift_invariance", trials)
 
     # Cor2 sandwiches and Prop7 intervals against brute force on the code grid
     for spec, records in _grid_records(cfg, rep):

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from bsym import codes
+from bsym import cli, codes
 from bsym.cli import main
 
 GOLDEN = "0,0,1,3,0,5,0,0,0,2,0,7,0,0,0"
@@ -348,3 +348,50 @@ def _table_peak_rss_mib(e: int) -> float:
 def test_table_rows_are_streamed():
     # 16x the rows from e = 12 to e = 16; a held list grew by about 48 MiB
     assert _table_peak_rss_mib(16) < _table_peak_rss_mib(12) + 4
+
+
+@pytest.mark.parametrize("argv", [
+    ["--p", "2", "--e", "8192", "--b", "2", "--no-brute"],   # 2^8192 + 1 rows
+    ["--p", "2", "--e", "20", "--b", "2", "--no-brute"],     # 2^20 + 1 rows
+    ["--p", "2", "--e", "16", "--b", "2..17", "--no-brute"],
+    ["--p", "3", "--e", "2", "--b", "2", "--i", "0..1048576"],
+])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_table_refuses_more_than_max_rows(tmp_path, capsys, argv, fmt):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "table", *argv, "--format", fmt)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 1 and out == ""
+    assert err == (f"usage error: the table has more than {cli.MAX_TABLE_ROWS} rows: "
+                   "narrow --i or --b\n")
+    path = tmp_path / "t.out"
+    assert run(capsys, "table", *argv, "--format", fmt, "--out", str(path))[0] == 1
+    assert not path.exists()
+
+
+def test_code_refuses_a_large_extension_degree_one_line(capsys):
+    modulus = ",".join(["1"] + ["0"] * 31 + ["1"] + ["0"] * 488 + ["1"])  # x^521 + x^32 + 1
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "code", "--p", "2", "--e", "1", "--m", "521",
+                         "--modulus", modulus, "--i", "0", "--b", "2", "--method", "closed")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "m=521" in err
+
+
+def test_code_large_prime_with_a_large_index_is_fast(capsys):
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "code", "--p", "1000000000000000003", "--e", "1",
+                       "--i", "100000000000000000", "--b", "2", "--method", "closed")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 0 and "dH=100000000000000001" in out
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["frob"], ["pi"], ["code", "--p", "x", "--e", "1", "--i", "0", "--b", "2"],
+    ["dist", "--b", "2", "--x", "1", "--y", "1", "--method", "fast"],
+])
+def test_argument_errors_are_one_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("usage error: bsym")

@@ -1,0 +1,162 @@
+"""The exit contract of `bsym` over its argument grammar.
+
+Every subcommand is driven in process with small, zero, negative, huge and
+malformed integers, malformed ranges, words and moduli, malformed BSYM_CAP
+values, and argument lists with no grammar at all.
+Whatever the input, main() returns 0, 1 or 2, raises nothing, and on 1
+prints exactly one line on stderr and nothing on stdout.
+
+Some values set how much work is asked for, so a large accepted one is a long
+run, not a bad input.  The grammar keeps them out: the enumeration cap is
+always small, `--trials` only small, zero or negative, `table` always gets an
+`--i` range (without one it has p^e + 1 rows), and no accepted length p^e
+comes near 2^8192, where a row takes about 0.1 s.  Each example must end
+within TIME_BOUND_S.
+"""
+
+import contextlib
+import io
+import os
+import signal
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bsym import gf
+from bsym.cli import main
+
+TIME_BOUND_S = 5
+HUGE = [8193, 2 ** 61 - 1, 10 ** 18 + 3, 10 ** 30, gf.MR_LIMIT, 2 ** 8192 + 1]
+small = st.integers(-3, 9)
+text = st.text("0123456789,.-x ", max_size=12)
+# the repeats weight the draws towards input that gets past the first check
+ints = st.one_of(small, small, small,
+                 st.sampled_from(HUGE + [-h for h in HUGE]),
+                 st.integers(10 ** 12, 10 ** 40), text)
+primes = st.one_of(st.sampled_from([2, 3, 5, 7]), st.sampled_from([2, 3, 5, 7]),
+                   st.sampled_from([2 ** 61 - 1, 10 ** 18 + 3]), ints)
+pairs = st.tuples(small, small).map(lambda ab: f"{ab[0]}..{ab[1]}")
+ranges = st.one_of(
+    pairs, pairs, small.map(str),
+    st.tuples(ints, ints).map(lambda ab: f"{ab[0]}..{ab[1]}"),
+    st.sampled_from(["", "..", "1..", "..3", "a..b", "1...3", "1..2..3", "1.5", "--1"]),
+    text,
+)
+valid_words = st.lists(small, min_size=1, max_size=12).map(lambda s: ",".join(map(str, s)))
+words = st.one_of(
+    valid_words, valid_words,
+    st.lists(ints, min_size=1, max_size=12).map(lambda s: ",".join(map(str, s))),
+    st.sampled_from(["", ",", "1,,2", "x", "1;2", "0, 1"]), text)
+moduli = st.one_of(st.lists(small, max_size=8).map(lambda s: ",".join(map(str, s))),
+                   st.lists(ints, max_size=8).map(lambda s: ",".join(map(str, s))), text)
+caps = st.integers(-2, 300).map(str)
+env_caps = st.one_of(caps, caps, caps, st.sampled_from(["abc", "1.5", " 7", "-0", "0x10"]))
+
+
+def _command(name, required, optional):
+    """`name`, every required option and some of the optional ones, each as
+    --name=value, or --name for a value of None."""
+    return st.fixed_dictionaries(required, optional=optional).map(
+        lambda d: [name] + [f"--{k}" if v is None else f"--{k}={v}"
+                            for k, v in ((k.replace("_", "-"), v) for k, v in d.items())])
+
+
+def _commands(ints, primes, words, ranges, moduli):
+    return [
+        _command("pi", {"b": ints, "word": words}, {"n": ints}),
+        _command("dist", {"b": ints, "x": words, "y": words},
+                 {"method": st.sampled_from(["formula", "oracle", "both"])}),
+        _command("code", {"p": primes, "e": ints, "i": ints, "b": ints},
+                 {"m": ints, "modulus": moduli, "cap": caps,
+                  "method": st.sampled_from(["closed", "brute", "both"]),
+                  "format": st.sampled_from(["plain", "csv", "json"])}),
+        _command("table", {"p": primes, "e": ints, "b": ranges, "i": ranges},
+                 {"m": ints, "modulus": moduli, "cap": caps,
+                  "format": st.sampled_from(["csv", "json"]), "no_brute": st.none()}),
+    ]
+
+
+def _word(n):
+    return st.lists(st.integers(0, 3), min_size=n, max_size=n).map(
+        lambda s: ",".join(map(str, s)))
+
+
+def _range(lo, hi):
+    return st.tuples(st.integers(lo, hi), st.integers(lo, hi)).map(
+        lambda ab: f"{min(ab)}..{max(ab)}")
+
+
+# every value plausible, so that most of these commands run to the end
+lengths = st.integers(1, 8)
+code_options = {"p": st.sampled_from([2, 3, 5]), "e": st.integers(1, 3)}
+plausible = [
+    lengths.flatmap(lambda n: _command(
+        "pi", {"b": st.integers(1, n), "word": _word(n)}, {"n": st.just(n)})),
+    lengths.flatmap(lambda n: _command(
+        "dist", {"b": st.integers(1, n), "x": _word(n), "y": _word(n)}, {})),
+    _command("code", {**code_options, "i": st.integers(0, 9), "b": st.integers(2, 6),
+                      "method": st.sampled_from(["closed", "both"])},
+             {"cap": caps, "format": st.sampled_from(["plain", "csv", "json"])}),
+    _command("table", {**code_options, "b": _range(2, 5), "i": _range(0, 9)},
+             {"cap": caps, "no_brute": st.none()}),
+    _command("code", {"p": st.sampled_from([2 ** 61 - 1, 10 ** 18 + 3]),
+                      "e": st.integers(1, 2), "i": st.integers(10 ** 6, 10 ** 18),
+                      "b": st.integers(2, 6), "method": st.just("closed")}, {}),
+]
+quick_commands = st.one_of(
+    *plausible, *plausible,
+    *_commands(ints, primes, words, ranges, moduli),
+    st.lists(st.sampled_from(["pi", "code", "table", "--p", "--b", "--i", "--x", "3",
+                              "-1", "x", "--", "--method=brute", "--format=xml"]),
+             max_size=6),
+)
+verify_commands = _command(
+    "verify", {"trials": small},
+    {"suite": st.sampled_from(["all", "formula", "code", "lemma", "bounds"]),
+     "seed": ints, "cap": caps})
+
+
+def _bounded(max_examples):
+    return settings(max_examples=max_examples, derandomize=True, database=None,
+                    deadline=None)
+
+
+class _TooSlow(BaseException):
+    """Raised by the alarm; main() catches no BaseException, so it escapes."""
+
+
+def _too_slow(signum, frame):
+    raise _TooSlow(f"an example ran past {TIME_BOUND_S} s")
+
+
+def _check(argv, env_cap):
+    out, err = io.StringIO(), io.StringIO()
+    saved = os.environ.get("BSYM_CAP")
+    os.environ["BSYM_CAP"] = env_cap
+    handler = signal.signal(signal.SIGALRM, _too_slow)
+    signal.alarm(TIME_BOUND_S)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, handler)
+        if saved is None:
+            del os.environ["BSYM_CAP"]
+        else:
+            os.environ["BSYM_CAP"] = saved
+    assert code in (0, 1, 2), argv
+    if code == 1:
+        assert err.getvalue().count("\n") == 1 and out.getvalue() == "", argv
+
+
+@_bounded(200)
+@given(argv=quick_commands, env_cap=env_caps)
+def test_any_arguments_keep_the_exit_contract(argv, env_cap):
+    _check(argv, env_cap)
+
+
+@_bounded(10)
+@given(argv=verify_commands, env_cap=env_caps)
+def test_any_verify_arguments_keep_the_exit_contract(argv, env_cap):
+    _check(argv, env_cap)

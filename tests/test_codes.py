@@ -60,6 +60,43 @@ def test_length_bound_is_2_to_the_8192():
     assert spec(Z3, 5168, 0).n < 2 ** 8192 < 3 ** 5169
 
 
+def _hamming_by_branch_search(p, e, i):
+    """The theorem's branches tried one by one, as the formula once did."""
+    n = p ** e
+    if i in (0, n):
+        return 1 if i == 0 else 0
+    for beta in range(p - 1):
+        if beta * p ** (e - 1) + 1 <= i <= (beta + 1) * p ** (e - 1):
+            return beta + 2
+    for k in range(1, e):
+        for t in range(1, p):
+            lo = n - p ** (e - k) + (t - 1) * p ** (e - k - 1) + 1
+            hi = n - p ** (e - k) + t * p ** (e - k - 1)
+            if lo <= i <= hi:
+                return (t + 1) * p ** k
+    raise AssertionError((p, e, i))
+
+
+@pytest.mark.parametrize("p,e_max", [(2, 11), (3, 7), (5, 4), (7, 3), (11, 2), (13, 2)])
+def test_hamming_formula_is_the_branch_search(p, e_max):
+    f = make_field(p)
+    for e in range(1, e_max + 1):
+        for i in range(p ** e + 1):
+            assert hamming_distance_formula(spec(f, e, i)) == _hamming_by_branch_search(p, e, i)
+
+
+def test_hamming_formula_is_fast_for_a_large_prime():
+    # the branch search walked beta up to i / p^(e-1), here 10^17 steps
+    s = spec(make_field(10 ** 18 + 3), 1, 10 ** 17)
+    assert hamming_distance_formula(s) == 10 ** 17 + 1
+
+
+def test_spec_length_is_kept_out_of_eq_hash_and_repr():
+    a, b = spec(Z3, 2, 4), spec(Z3, 2, 4)
+    assert a.n == 9 and a == b and hash(a) == hash(b)
+    assert repr(a) == "CyclicCodeSpec(field=GF(3), e=2, i=4)"
+
+
 @pytest.mark.parametrize("f,e", [(Z2, 2), (Z2, 3), (Z3, 1), (Z3, 2), (Z5, 1)])
 def test_hamming_formula_vs_bruteforce(f, e):
     n = f.p ** e

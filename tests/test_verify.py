@@ -55,19 +55,20 @@ def test_report_json_structure(reports):
         assert rep["cases"] > 0
 
 
-def test_suite_self_check_detects_mutation():
-    """A broken formula must produce failures (test of the test)."""
-    import bsym.verify as v
-    original = v.dist_b_formula
-    try:
-        v.dist_b_formula = lambda x, y, b: original(x, y, b) + (
-            1 if x.symbols != y.symbols else 0
-        )
-        rep = v.run_formula_suite(SuiteConfig(seed=7, trials=50,
-                                              exhaustive_n_max=4))
-        assert not rep.passed
-    finally:
-        v.dist_b_formula = original
+def _broken_suite_fails(monkeypatch, core):
+    original = getattr(verify, core)
+    monkeypatch.setattr(verify, core, lambda xs, ys, b: original(xs, ys, b) + (xs != ys))
+    rep = verify.run_formula_suite(SuiteConfig(seed=7, trials=50, exhaustive_n_max=4))
+    return not rep.passed
+
+
+def test_suite_self_check_detects_mutation(monkeypatch):
+    """A broken formula core must produce failures (test of the test)."""
+    assert _broken_suite_fails(monkeypatch, "_dist_formula")
+
+
+def test_suite_self_check_detects_a_broken_oracle(monkeypatch):
+    assert _broken_suite_fails(monkeypatch, "_dist_oracle")
 
 
 def test_config_validation():
@@ -94,16 +95,18 @@ def test_bounds_suite_reports_a_wrong_cor2(monkeypatch):
 
 def _draw_both(stream, ref, plan):
     """Run `plan` on the stream and on plain randrange calls of `ref`; each
-    step is ("below", k) or ("words", n, q, count)."""
+    step is ("below", k) or ("trial", qs, n_lo, n_span, count)."""
     for step in plan:
         if step[0] == "below":
             k = step[1]
             assert stream.below(k) == ref.randrange(k), step
         else:
-            _, n, q, count = step
-            got = [w.symbols for w in stream.words(n, q, count)]
-            assert got == [tuple(ref.randrange(q) for _ in range(n))
-                           for _ in range(count)], step
+            _, qs, n_lo, n_span, count = step
+            q = qs if isinstance(qs, int) else qs[ref.randrange(len(qs))]
+            n = n_lo + ref.randrange(n_span)
+            b = 2 + ref.randrange(n - 1)
+            symbols = tuple(ref.randrange(q) for _ in range(n * count))
+            assert stream.trial(qs, n_lo, n_span, count) == (q, n, b, symbols), step
 
 
 def _assert_same_state(stream, seed, ref):
@@ -113,46 +116,80 @@ def _assert_same_state(stream, seed, ref):
     assert third.getstate() == ref.getstate()
 
 
+def _shapes(q):
+    """(qs, n_lo, n_span) of trials: q drawn from one or several values or
+    given with no draw, n fixed, short or up to 256."""
+    return [(q, 2, 1), ((q,), 2, 29), ((3, q), 3, 28), ((q, 2, 5, q), 2, 60),
+            (q, 100, 157)]
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9, 16, 200, 255])
 def test_random_word_is_the_randrange_stream(q):
-    """_Stream.words and _Stream.below, interleaved, give randrange's values."""
+    """_Stream.trial and _Stream.below, interleaved, give randrange's values."""
     for seed in range(300):
         pick = random.Random(-1 - seed)
         plan = []
-        for n in (1, 2, 7, 30, 61, 0):
+        for shape in _shapes(q):
             plan += [("below", pick.randint(1, 255)),
-                     ("words", n, q, pick.randint(1, 3))]
+                     ("trial", *shape, pick.randint(1, 3))]
         stream, ref = verify._Stream(random.Random(seed)), random.Random(seed)
         _draw_both(stream, ref, plan)
         _assert_same_state(stream, seed, ref)
 
 
+def _random_plan_across_blocks(stream, ref, pick, q, blocks):
+    """Random steps until `blocks` blocks are used; how many straddled one."""
+    straddled = 0
+    while stream.consumed < blocks * verify._BLOCK:
+        step = (("below", pick.randint(1, 255)) if pick.random() < 0.5
+                else ("trial", *pick.choice(_shapes(q)), pick.randint(1, 3)))
+        first = stream.consumed              # index of the next output
+        _draw_both(stream, ref, [step])
+        last = stream.consumed - 1
+        straddled += first // verify._BLOCK < last // verify._BLOCK
+    return straddled
+
+
 @pytest.mark.parametrize("q", [2, 3, 200])
 def test_stream_draws_across_block_boundaries(q):
-    """Draws that start in one block of outputs and end in the next, and one
-    word longer than a block, keep the unread tail of the block."""
+    """Draws that start in one block of outputs and end in the next keep the
+    unread tail of the block."""
     straddled = 0
     for seed in range(4):
         pick = random.Random(-1 - seed)
         stream, ref = verify._Stream(random.Random(seed)), random.Random(seed)
-        while stream.consumed < 3 * verify._BLOCK:
-            step = (("below", pick.randint(1, 255)) if pick.random() < 0.5
-                    else ("words", pick.randint(1, 61), q, pick.randint(1, 3)))
-            first = stream.consumed              # index of the next output
-            _draw_both(stream, ref, [step])
-            last = stream.consumed - 1
-            straddled += first // verify._BLOCK < last // verify._BLOCK
-        _draw_both(stream, ref, [("words", verify._BLOCK + 61, q, 1)])
+        straddled += _random_plan_across_blocks(stream, ref, pick, q, 3)
         _assert_same_state(stream, seed, ref)
     assert straddled >= 4          # the plan does cross the boundaries
+
+
+@pytest.mark.parametrize("q", [2, 3, 200])
+def test_stream_rereads_a_trial_that_runs_past_the_block(monkeypatch, q):
+    """With a block of 5 outputs nearly every trial runs past it, in its
+    header or its words, and is read again from its start."""
+    monkeypatch.setattr(verify, "_BLOCK", 5)
+    straddled = 0
+    for seed in range(20):
+        pick = random.Random(-1 - seed)
+        stream, ref = verify._Stream(random.Random(seed)), random.Random(seed)
+        straddled += _random_plan_across_blocks(stream, ref, pick, q, 1000)
+        _assert_same_state(stream, seed, ref)
+    assert straddled >= 200
 
 
 @pytest.mark.parametrize("q", [0, 1, 256])
 def test_random_word_refuses_q_outside_a_byte(q):
     with pytest.raises(InvalidParameterError):
-        verify._Stream(random.Random(0)).words(5, q, 1)
+        verify._Stream(random.Random(0)).trial(q, 2, 5, 1)
 
 
+@pytest.mark.parametrize("qs,n_lo,n_span", [
+    ((), 2, 5), ((3,) * 256, 2, 5),                 # 0 or 256 values of q
+    (3, 2, 0), (3, 2, 256), (3, 1, 5), (3, 200, 58),  # n range empty, too wide,
+])                                                   # below 2 or above 256
+def test_stream_trial_refuses_draws_outside_a_byte(qs, n_lo, n_span):
+    with pytest.raises(InvalidParameterError):
+        verify._Stream(random.Random(0)).trial(qs, n_lo, n_span, 1)
 @pytest.mark.parametrize("k", [0, 256])
 def test_stream_below_refuses_k_outside_a_byte(k):
     with pytest.raises(InvalidParameterError):
