@@ -1,7 +1,8 @@
 """Repeated-root cyclic codes C_i = <(x-1)^i> of length p^e over F_{p^m}.
 
-Closed forms implemented here:
-  * the exact Hamming distance of every C_i,
+Closed forms implemented here, each evaluated once per row by `build_record`:
+  * the exact Hamming distance of every C_i, read off the one split
+    i = p^e - p^{e-k} + i' of the index (`_split`),
   * exact b-symbol distances where a rule applies (i = 0; e = 1 with
     i <= p - b; e >= 2 with small i; the p^e - p^{e-k} + i' family),
   * the periodic weight decomposition w_b((x-1)^{p^e - p^{e-k}} g(x))
@@ -99,16 +100,23 @@ class CyclicCodeSpec:
 
 @dataclass(frozen=True)
 class ClosedFormResult:
-    value: int | None
-    rule: str | None           # ZeroCode | Prop6 | Prop8_e1 | Thm9 | Thm11
-    interval: tuple | None     # (lower, upper) when only a sandwich applies
-    params_echo: dict
+    """Every exact rule that fired, as (rule, value) in precedence order, and
+    every proven interval, as (source, (lower, upper)) with Prop7 first."""
+    exact: list
+    intervals: list
 
-    def __post_init__(self):
-        if self.value is not None and self.rule is None:
-            raise ValueError("exact value requires a rule")
-        if self.interval is not None and self.interval[0] > self.interval[1]:
-            raise ValueError("interval lower > upper")
+    @property
+    def rule(self) -> str | None:      # ZeroCode | Prop6 | Prop8_e1 | Thm9 | Thm11
+        return self.exact[0][0] if self.exact else None
+
+    @property
+    def value(self) -> int | None:
+        return self.exact[0][1] if self.exact else None
+
+    @property
+    def interval(self) -> tuple | None:
+        """The first sandwich, on a row that no exact rule decides."""
+        return self.intervals[0][1] if self.intervals and not self.exact else None
 
 
 @dataclass(frozen=True)
@@ -125,23 +133,25 @@ class DistanceRecord:
         return all(holds for *_, holds in self.checks)
 
 
+def _split(spec: CyclicCodeSpec) -> tuple:
+    """(k, i', step) with i = p^e - p^(e-k) + i', 0 < i' <= (p-1) step, for 0 < i < n:
+    step = p^(e-k-1) is the largest power of p at most n - i."""
+    p, rest = spec.p, spec.n - spec.i
+    k, step = 0, spec.n // p
+    while step > rest:
+        k, step = k + 1, step // p
+    return k, p * step - rest, step
+
+
 def hamming_distance_formula(spec: CyclicCodeSpec) -> int:
-    """Exact minimum Hamming distance of C_i; exactly one branch applies."""
-    p, e, i = spec.p, spec.e, spec.i
-    n = spec.n
-    if i == 0:
+    """Exact minimum Hamming distance of C_i (Dinh 2008): with the split
+    i = p^e - p^(e-k) + i', it is (t + 1) p^k for i' in ((t-1) step, t step]."""
+    if spec.i == 0:
         return 1
-    if i == n:
+    if spec.i == spec.n:
         return 0
-    # i in [beta p^(e-1) + 1, (beta + 1) p^(e-1)] for beta in 0..p-2
-    if i <= (p - 1) * p ** (e - 1):
-        return (i - 1) // p ** (e - 1) + 2
-    # i - (n - p^(e-k)) in [(t-1) p^(e-k-1) + 1, t p^(e-k-1)] for t in 1..p-1
-    for k in range(1, e):
-        i2, step = i - (n - p ** (e - k)), p ** (e - k - 1)
-        if 0 < i2 <= (p - 1) * step:
-            return ((i2 - 1) // step + 2) * p ** k
-    raise AssertionError(f"no branch matched i={i} (p={p}, e={e})")  # unreachable
+    k, i2, step = _split(spec)
+    return ((i2 - 1) // step + 2) * spec.p ** k
 
 
 def above_cap(spec: CyclicCodeSpec, cap: int) -> bool:
@@ -303,66 +313,52 @@ def min_b_weight_bruteforce(
 
 
 def thm11_decompositions(spec: CyclicCodeSpec, b: int):
-    """All (k, i') with i = p^e - p^{e-k} + i' inside the rule's hypotheses."""
-    p, e, i = spec.p, spec.e, spec.i
-    out = []
-    for k in range(1, e):
-        i2 = i - (spec.n - p ** (e - k))
-        if 0 <= i2 <= p ** (e - k - 1) and b + i2 <= p ** (e - k) and i2 <= b:
-            out.append((k, i2))
-    return out
+    """All (k, i') with i = p^e - p^{e-k} + i' inside the rule's hypotheses:
+    only the split's k gives i' > 0, and k + 1 gives i' = 0 when n - i = step."""
+    if not 0 < spec.i < spec.n:
+        return []
+    k, i2, step = _split(spec)
+    found = []
+    if k >= 1 and i2 <= min(step, b) and b + i2 <= spec.p * step:
+        found.append((k, i2))
+    if spec.n - spec.i == step and k + 2 <= spec.e and b <= step:
+        found.append((k + 1, 0))
+    return found
 
 
 def closed_form_db(spec: CyclicCodeSpec, b: int) -> ClosedFormResult:
-    """Exact d_b when a rule applies, else the tightest known sandwich."""
-    p, e, i = spec.p, spec.e, spec.i
-    n = spec.n
+    """Every exact rule for d_b that fires and every proven sandwich."""
+    return _closed_form(spec, b, hamming_distance_formula(spec))
+
+
+def _closed_form(spec: CyclicCodeSpec, b: int, d_h: int) -> ClosedFormResult:
+    p, e, i, n = spec.p, spec.e, spec.i, spec.n
     if not (2 <= b <= n):
         raise WidthOutOfRangeError(b, n)
-    echo = {"p": p, "e": e, "m": spec.m, "i": i, "b": b}
-
-    candidates = []  # (rule, value), in precedence order
+    exact = []  # (rule, value), in precedence order
     if i == n:
-        candidates.append(("ZeroCode", 0))
-    if i == 0 and b <= n:
-        candidates.append(("Prop6", b))
-    if e == 1 and b <= p and 0 <= i <= p - b:
-        candidates.append(("Prop8_e1", i + b))
-    if e >= 2 and 1 <= i <= p ** (e - 1) and i + b <= n and i <= b:
-        candidates.append(("Thm9", i + b))
-    decomps = thm11_decompositions(spec, b) if e >= 2 else []
-    for k, i2 in decomps:
-        candidates.append(("Thm11", p ** k * (b + i2)))
-
-    if candidates:
-        (rule, value), *overlaps = candidates
-        if overlaps:
-            echo["overlaps"] = overlaps     # check_row tests that they agree
-        if rule == "Thm11":
-            echo["decompositions"] = decomps
-        return ClosedFormResult(value, rule, None, echo)
-
-    found = sandwiches(spec, b)
-    if found:
-        echo["interval_source"], interval = found[0]
-        return ClosedFormResult(None, None, interval, echo)
-    return ClosedFormResult(None, None, None, echo)
+        exact.append(("ZeroCode", 0))
+    if i == 0:
+        exact.append(("Prop6", b))
+    if e == 1 and b <= p and i <= p - b:
+        exact.append(("Prop8_e1", i + b))
+    if e >= 2 and 1 <= i <= b and i * p <= n and i + b <= n:    # i <= p^(e-1)
+        exact.append(("Thm9", i + b))
+    exact += [("Thm11", p ** k * (b + i2)) for k, i2 in thm11_decompositions(spec, b)]
+    return ClosedFormResult(exact, sandwiches(spec, b, d_h))
 
 
-def sandwiches(spec: CyclicCodeSpec, b: int) -> list:
+def sandwiches(spec: CyclicCodeSpec, b: int, d_h: int) -> list:
     """Every proven interval for d_b as (source, (lower, upper)), Prop7 first."""
-    p, e, i, n = spec.p, spec.e, spec.i, spec.n
     found = []
-    if b < n and 1 <= i <= p ** (e - 1):
+    if b < spec.n and 1 <= spec.i and spec.i * spec.p <= spec.n:   # i <= p^(e-1)
         found.append(("Prop7", (b + 1, 2 * b)))
-    d_h = hamming_distance_formula(spec)
-    if 0 < d_h <= n - (b - 1):
+    if 0 < d_h <= spec.n - (b - 1):
         found.append(("Cor2", (d_h + b - 1, b * d_h)))
     return found
 
 
-def check_row(spec: CyclicCodeSpec, b: int, closed: ClosedFormResult,
-              brute: int | None) -> list:
+def check_row(closed: ClosedFormResult, brute: int | None) -> list:
     """Every claim one row can test, as (kind, expected, actual, holds).
 
     overlap: each further exact rule that fires gives the first one's value;
@@ -371,7 +367,7 @@ def check_row(spec: CyclicCodeSpec, b: int, closed: ClosedFormResult,
     """
     checks = [
         ("overlap", [closed.rule, closed.value], [rule, value], value == closed.value)
-        for rule, value in closed.params_echo.get("overlaps", [])
+        for rule, value in closed.exact[1:]
     ]
     if brute is not None and closed.value is not None:
         checks.append(("rule", brute, closed.value, closed.value == brute))
@@ -380,7 +376,7 @@ def check_row(spec: CyclicCodeSpec, b: int, closed: ClosedFormResult,
         checks.append(("interval", [lo, hi], brute, lo <= brute <= hi))
     actual = closed.value if brute is None else brute
     if actual is not None:
-        for source, (lo, hi) in sandwiches(spec, b):
+        for source, (lo, hi) in closed.intervals:
             checks.append((source.lower(), [lo, hi], actual, lo <= actual <= hi))
     return checks
 
@@ -436,10 +432,10 @@ def build_record(
     with_brute: bool = True,
 ) -> DistanceRecord:
     """One verification row: formulas, optional brute value, its checks."""
-    closed = closed_form_db(spec, b)
+    d_h = hamming_distance_formula(spec)
+    closed = _closed_form(spec, b, d_h)
     brute = min_b_weight_bruteforce(spec, b, cap) if with_brute else None
-    return DistanceRecord(spec, b, hamming_distance_formula(spec), closed, brute,
-                          check_row(spec, b, closed, brute))
+    return DistanceRecord(spec, b, d_h, closed, brute, check_row(closed, brute))
 
 
 def record_to_dict(rec: DistanceRecord) -> dict:

@@ -24,7 +24,7 @@ from .bsymbol import (
     check_bounds,
     weight_b_oracle,
 )
-from .codes import CyclicCodeSpec, hamming_distance_formula
+from .codes import CyclicCodeSpec
 from .errors import InvalidParameterError
 from .gf import make_field
 from .polyring import Word, poly
@@ -40,6 +40,8 @@ DEFAULT_GRID = (
 
 LEMMA_GRID = ((2, 2), (2, 3), (3, 2))
 
+MAX_TRIALS = 10 ** 7       # about 3-4 minutes of the formula suite
+
 
 @dataclass(frozen=True)
 class SuiteConfig:
@@ -54,8 +56,8 @@ class SuiteConfig:
     cap: int = codes.DEFAULT_CAP
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise InvalidParameterError(f"trials={self.trials} must be >= 1")
+        if not 1 <= self.trials <= MAX_TRIALS:
+            raise InvalidParameterError(f"trials={self.trials} outside 1..{MAX_TRIALS}")
         # every seeded draw goes through _Stream, which reads one byte per value
         if not (1 <= len(self.random_qs) <= 255
                 and all(2 <= q <= 255 for q in self.random_qs)):
@@ -293,7 +295,7 @@ def run_code_suite(cfg: SuiteConfig) -> SuiteReport:
     t0 = time.perf_counter()
     brutes = {}          # (field, e, i, b) -> brute-force d_b, for nesting
     for spec, records in _grid_records(cfg, rep):
-        dh_formula = hamming_distance_formula(spec)
+        dh_formula = records[0].dH_formula       # n >= 2, so every spec has rows
         dh_brute = codes.min_b_weight_bruteforce(spec, 1, cfg.cap)
         rep.count("hamming")
         if dh_formula != dh_brute:
@@ -303,7 +305,7 @@ def run_code_suite(cfg: SuiteConfig) -> SuiteReport:
             if closed.value is not None:
                 rep.count(f"rule_{closed.rule}")
             elif closed.interval is not None:
-                rep.count(f"interval_{closed.params_echo['interval_source']}")
+                rep.count(f"interval_{closed.intervals[0][0]}")
             else:
                 rep.count("rule_none")
             for kind, expected, actual, holds in rec.checks:   # see codes.check_row

@@ -255,6 +255,12 @@ def test_verify_bad_trials_one_line(capsys):
     assert err.count("\n") == 1 and "trials=0" in err
 
 
+def test_verify_trials_above_the_bound_one_line(capsys):
+    code, out, err = run(capsys, "verify", "--trials", str(10 ** 7 + 1))
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "trials=10000001" in err
+
+
 def test_code_disagreeing_rules_exit_2(monkeypatch, capsys):
     # a wrong Thm11 that fires beside Thm9 (which gives 3) with the value 6
     monkeypatch.setattr(codes, "thm11_decompositions", lambda s, b: [(1, 0)])
@@ -265,7 +271,8 @@ def test_code_disagreeing_rules_exit_2(monkeypatch, capsys):
 
 
 def test_table_wrong_sandwich_exit_2(monkeypatch, capsys):
-    monkeypatch.setattr(codes, "sandwiches", lambda s, b: [("Cor2", (s.n + 1, s.n + 1))])
+    monkeypatch.setattr(codes, "sandwiches",
+                        lambda s, b, d_h: [("Cor2", (s.n + 1, s.n + 1))])
     code, out, _ = run(capsys, "table", "--p", "3", "--e", "2", "--b", "2",
                        "--format", "json")
     assert code == 2

@@ -1,4 +1,5 @@
 import itertools
+import time
 import tracemalloc
 from collections import Counter
 from functools import lru_cache
@@ -274,7 +275,7 @@ def test_build_record_consistent_on_larger_codes(p, e, i_lo, thm11_k):
             rec = build_record(s, b)
             assert rec.db_brute is not None and rec.consistent, (p, e, i, b)
             if rec.db_closed.rule == "Thm11":
-                thm11_ks.update(k for k, _ in rec.db_closed.params_echo["decompositions"])
+                thm11_ks.update(k for k, _ in thm11_decompositions(s, b))
     if thm11_k is not None:
         assert thm11_k in thm11_ks
 
@@ -290,6 +291,7 @@ def test_build_record_consistent_on_larger_codes(p, e, i_lo, thm11_k):
         (Z3, 2, 0, 3, 3, "Prop6"),
         (Z3, 2, 9, 4, 0, "ZeroCode"),
         (Z3, 2, 7, 2, 9, "Thm11"),
+        (Z3, 2, 3, 3, 6, "Thm9"),      # i = p^(e-1), the top of the rule's range
     ],
 )
 def test_closed_form_rules(f, e, i, b, value, rule):
@@ -302,26 +304,64 @@ def test_closed_form_prop7_interval():
     res = closed_form_db(spec(Z3, 2, 3, ), 2)
     assert res.value is None
     assert res.interval == (3, 4)
-    assert res.params_echo["interval_source"] == "Prop7"
+    assert res.intervals[0][0] == "Prop7"
 
 
 def test_closed_form_cor2_interval():
     res = closed_form_db(spec(Z3, 2, 4), 5)
     assert res.value is None
     assert res.interval == (3 + 4, 15)
-    assert res.params_echo["interval_source"] == "Cor2"
+    assert res.intervals[0][0] == "Cor2"
+
+
+def _sandwiches(s, b):
+    return codes.sandwiches(s, b, hamming_distance_formula(s))
 
 
 def test_sandwiches():
     # for 1 <= i <= p^{e-1}, d_H = 2, so Prop7 and Cor2 give the same interval
-    assert codes.sandwiches(spec(Z3, 2, 2), 4) == [("Prop7", (5, 8)), ("Cor2", (5, 8))]
-    assert codes.sandwiches(spec(Z3, 2, 4), 5) == [("Cor2", (7, 15))]
-    assert codes.sandwiches(spec(Z3, 2, 9), 2) == []
+    assert _sandwiches(spec(Z3, 2, 2), 4) == [("Prop7", (5, 8)), ("Cor2", (5, 8))]
+    assert _sandwiches(spec(Z3, 2, 4), 5) == [("Cor2", (7, 15))]
+    assert _sandwiches(spec(Z3, 2, 9), 2) == []
 
 
 def test_thm11_decomposition_params():
     s = spec(Z3, 2, 7)  # 7 = 9 - 3 + 1 -> k=1, i'=1
     assert thm11_decompositions(s, 2) == [(1, 1)]
+
+
+def _thm11_by_k_search(p, e, i, b):
+    """Every k in 1..e-1 tried against the rule's hypotheses, as the rule once did."""
+    n = p ** e
+    out = []
+    for k in range(1, e):
+        i2 = i - (n - p ** (e - k))
+        if 0 <= i2 <= p ** (e - k - 1) and b + i2 <= p ** (e - k) and i2 <= b:
+            out.append((k, i2))
+    return out
+
+
+SPLIT_SPECS = [(p, e) for p in (2, 3, 5, 7, 11, 13)
+               for e in range(1, 12) if p ** e <= 2000]
+
+
+@pytest.mark.parametrize("p,e", SPLIT_SPECS)
+def test_split_matches_the_searches(p, e):
+    f = make_field(p)
+    for i in range(p ** e + 1):
+        s = spec(f, e, i)
+        assert hamming_distance_formula(s) == _hamming_by_branch_search(p, e, i), i
+        for b in range(2, 13):
+            assert thm11_decompositions(s, b) == _thm11_by_k_search(p, e, i, b), (i, b)
+
+
+@pytest.mark.parametrize("i", [1, 2 ** 8191, 2 ** 8192 - 2 ** 100, 2 ** 8192 - 1],
+                         ids=["1", "n/2", "n-2^100", "n-1"])
+def test_split_matches_the_searches_at_the_largest_length(i):
+    s = spec(Z2, 8192, i)
+    assert hamming_distance_formula(s) == _hamming_by_branch_search(2, 8192, i)
+    for b in (2, 3):
+        assert thm11_decompositions(s, b) == _thm11_by_k_search(2, 8192, i, b)
 
 
 @pytest.mark.parametrize("f,e", [(Z2, 2), (Z2, 3), (Z3, 1), (Z3, 2), (Z5, 1)])
@@ -436,7 +476,7 @@ def test_record_to_dict_columns():
 
 def test_check_row_kinds():
     rec = build_record(spec(Z3, 1, 0), 2)          # Prop6 and Prop8_e1 both fire
-    assert rec.db_closed.params_echo["overlaps"] == [("Prop8_e1", 2)]
+    assert rec.db_closed.exact[1:] == [("Prop8_e1", 2)]
     assert rec.checks == [
         ("overlap", ["Prop6", 2], ["Prop8_e1", 2], True),
         ("rule", 2, 2, True),
@@ -460,7 +500,7 @@ def test_disagreeing_rules_fail_the_overlap_check(monkeypatch):
     s = spec(Z3, 2, 1)
     res = closed_form_db(s, 2)
     assert (res.value, res.rule) == (3, "Thm9")
-    assert res.params_echo["overlaps"] == [("Thm11", 6)]
+    assert res.exact[1:] == [("Thm11", 6)]
     for with_brute in (True, False):
         rec = build_record(s, 2, with_brute=with_brute)
         assert not rec.consistent
@@ -469,8 +509,35 @@ def test_disagreeing_rules_fail_the_overlap_check(monkeypatch):
         ]
 
 
+@pytest.mark.parametrize("with_brute", [True, False])
+def test_build_record_evaluates_hamming_and_sandwiches_once(monkeypatch, with_brute):
+    calls = Counter()
+    for name in ("hamming_distance_formula", "sandwiches"):
+        def counted(*args, _name=name, _original=getattr(codes, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(codes, name, counted)
+    rows = 0
+    for i in range(10):
+        for b in range(2, 10):
+            build_record(spec(Z3, 2, i), b, with_brute=with_brute)
+            rows += 1
+    assert calls == {"hamming_distance_formula": rows, "sandwiches": rows}
+
+
+def test_build_record_is_fast_at_the_largest_length():
+    s = spec(Z2, 8192, 2 ** 8192 - 1)     # the split divides n down 8191 times
+    t0 = time.perf_counter()
+    rec = build_record(s, 2, with_brute=False)
+    assert time.perf_counter() - t0 < 0.1
+    # the repetition code: d_H = n, and neither an exact rule nor a sandwich holds
+    assert rec.dH_formula == s.n
+    assert (rec.db_closed.exact, rec.db_closed.intervals, rec.checks) == ([], [], [])
+
+
 def test_wrong_sandwich_fails_the_cor2_check(monkeypatch):
-    monkeypatch.setattr(codes, "sandwiches", lambda s, b: [("Cor2", (s.n + 1, s.n + 1))])
+    monkeypatch.setattr(codes, "sandwiches",
+                        lambda s, b, d_h: [("Cor2", (s.n + 1, s.n + 1))])
     for with_brute in (True, False):
         rec = build_record(spec(Z3, 2, 7), 2, with_brute=with_brute)   # Thm11: 9
         assert not rec.consistent

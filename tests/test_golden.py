@@ -2,8 +2,9 @@
 
 Each command runs in a fresh interpreter with PYTHONPATH=src.  The digests
 fix the exact bytes of the verify JSON for three seeds, the CSV/JSON tables,
-one brute-force row over F_9 and the three demos; any change to them is a
-change of output, not a refactoring.
+the closed-form sweeps without brute force (up to length 2^8192), one
+brute-force row over F_9 and the three demos; any change to them is a change
+of output, not a refactoring.
 """
 
 import hashlib
@@ -32,6 +33,15 @@ GOLDEN = [
     (CLI + ["code", "--p", "3", "--e", "2", "--m", "2", "--i", "4", "--b", "2",
             "--method", "brute"],
      "a4c3b615e80fe8edc2ecede615bf2fbb78eb501a0e0ce36670b52f2842f6ce8e"),
+    (CLI + ["table", "--p", "2", "--e", "12", "--b", "2..3", "--no-brute",
+            "--format", "csv"],
+     "b28463dab089f75b1d6753031eb1944ae390df6336458e49f7e8375d2ae2b1c4"),
+    (CLI + ["table", "--p", "2", "--e", "12", "--b", "2..3", "--no-brute",
+            "--format", "json"],
+     "c115fb96b5658e3c53021fdade68e6834f79ba1a44c8c48a3f40987d1c27dc87"),
+    (CLI + ["table", "--p", "2", "--e", "8192", "--b", "2", "--i", "0..19",
+            "--no-brute", "--format", "csv"],
+     "1ff552322a0e86307cc464b30ba1e6f0eb788c769d82beb1750dd6c4d4159b66"),
     (["demos/code_distance_table.py"],
      "7d1c3936478ef71b9debca85acd8883dcc81a0c8350779f103a387553d4bad2e"),
     (["demos/run_partition_walkthrough.py"],

@@ -76,6 +76,12 @@ def test_config_validation():
         SuiteConfig(trials=0)
 
 
+def test_config_refuses_trials_above_the_bound():
+    assert SuiteConfig(trials=verify.MAX_TRIALS).trials == 10 ** 7
+    with pytest.raises(InvalidParameterError, match="trials=10000001"):
+        SuiteConfig(trials=verify.MAX_TRIALS + 1)
+
+
 def test_code_suite_reports_disagreeing_rules(monkeypatch):
     """A wrong Thm11 beside Thm9 at (p,e,m,i,b) = (3,2,1,1,2) is an overlap failure."""
     monkeypatch.setattr(codes, "thm11_decompositions", lambda s, b: [(1, 0)])
@@ -86,7 +92,8 @@ def test_code_suite_reports_disagreeing_rules(monkeypatch):
 
 
 def test_bounds_suite_reports_a_wrong_cor2(monkeypatch):
-    monkeypatch.setattr(codes, "sandwiches", lambda s, b: [("Cor2", (s.n + 1, s.n + 1))])
+    monkeypatch.setattr(codes, "sandwiches",
+                        lambda s, b, d_h: [("Cor2", (s.n + 1, s.n + 1))])
     rep = verify.run_bounds_suite(SuiteConfig(trials=10, grid=((3, 2, 1),), b_max=2))
     assert not rep.passed
     assert {f["inputs"]["kind"] for f in rep.failures} == {"cor2"}
