@@ -30,7 +30,6 @@ from .gf import FieldParams, make_field
 from .polyring import (
     Poly,
     Word,
-    cyclic_shift,
     poly,
     poly_mul,
     to_word,

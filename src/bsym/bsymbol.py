@@ -2,20 +2,22 @@
 
 Two routes are provided for every metric: the definitional one, which scans
 all n circular windows (the oracle), and the run-partition formula
-d_b(x, y) = d_H(x, y) + e + L*(b - 1), where L counts maximal circular runs
-of "active" positions after removing every agreement run of length >= b - 1,
-and e counts agreement positions trapped inside active runs.
+d_b(x, y) = d_H(x, y) + e + L*(b - 1).  The gaps are the maximal circular
+agreement runs of length >= b - 1; L counts them, and e = n - (sum of the gap
+lengths) - d_H counts the agreement positions outside them, trapped inside
+the "active" runs between the gaps.
 
-Indexing is uniformly 0-based.  A guard returns n when no agreement run of
-length >= b - 1 exists at all: with no such run, every window contains a
-disagreement, and the unguarded sum would exceed n.
+The formula reads only the gaps, which one finder computes; run_partition
+derives the active runs from them.  There are L active runs, except with no
+gap at all: then the one active run is the whole circle, every window holds a
+disagreement, and L = 0 gives d_b = n.  Indexing is uniformly 0-based.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
-from operator import ne
+from operator import itemgetter, ne
 
 from .errors import (
     HypothesisViolatedError,
@@ -46,6 +48,9 @@ class RunPartition:
     L: int
     agreement_excess: int
     full_circle: bool
+
+
+_length = itemgetter(1)        # of a (start, length) pair
 
 
 def _check_width(b: int, n: int, lo: int = 1):
@@ -102,38 +107,26 @@ def _dist_oracle(xs: tuple, ys: tuple, b: int) -> int:
     return count
 
 
-def _partition(xs: tuple, ys: tuple, b: int):
-    """(d_h, gaps, runs, full_circle) of the pair, gaps and runs as
-    (start, length) in start order.
+def _gaps(xs: tuple, ys: tuple, b: int):
+    """(d_h, gaps) of the pair: the Hamming distance and the maximal circular
+    agreement runs of length >= b - 1, as (start, length) in start order;
+    the gap across n-1 -> 0 comes first, with its start taken below 0.
 
     Read from the sorted disagreement positions: the agreement run after
     disagreement j has length next_j - j - 1, taken circularly, and it is a
-    gap when that is >= b - 1.  Each run goes from the disagreement that ends
-    one gap to the one that starts the next.
+    gap when that is >= b - 1.  Equal words have one gap, the whole circle.
     """
     n = len(xs)
     diff = list(compress(range(n), map(ne, xs, ys)))
-    d_h = len(diff)
-    if not d_h:
-        return 0, ((0, n),), (), False
+    if not diff:
+        return 0, [(0, n)]
     gaps = []
     prev = diff[-1] - n          # the last disagreement, one turn back
     for j in diff:
         if j - prev >= b:        # agreements prev+1 .. j-1, at least b - 1
             gaps.append((prev + 1, j - prev - 1))
         prev = j
-    if not gaps:
-        return d_h, (), ((diff[0], n),), True
-    # the first gap may start before 0; every run starts at a disagreement
-    # in range(n), so the runs come out in start order
-    ends = [s + ln for s, ln in gaps]
-    runs = [(e, s - e) for e, (s, _) in zip(ends, gaps[1:])]
-    runs.append((ends[-1], gaps[0][0] + n - ends[-1]))
-    s0, ln0 = gaps[0]
-    if s0 < 0:                   # the gap across n-1 -> 0 starts last
-        gaps.append((s0 + n, ln0))
-        del gaps[0]
-    return d_h, tuple(gaps), tuple(runs), False
+    return len(diff), gaps
 
 
 def run_partition(x: Word, y: Word, b: int) -> RunPartition:
@@ -141,7 +134,22 @@ def run_partition(x: Word, y: Word, b: int) -> RunPartition:
     _check_pair(x, y)
     n = x.n
     _check_width(b, n, lo=2)
-    d_h, gaps, runs, full_circle = _partition(x.symbols, y.symbols, b)
+    xs, ys = x.symbols, y.symbols
+    d_h, gaps = _gaps(xs, ys, b)
+    full_circle = d_h > 0 and not gaps
+    if not d_h:
+        runs = []
+    elif full_circle:            # the whole circle, from the first disagreement
+        runs = [(next(j for j in range(n) if xs[j] != ys[j]), n)]
+    else:
+        # each run goes from the disagreement that ends one gap to the one
+        # that starts the next gap, the last one to the first gap a turn on;
+        # every gap ends at a disagreement in range(n), so the runs come out
+        # in start order
+        ends = [s + ln for s, ln in gaps]
+        nexts = [s for s, _ in gaps[1:]] + [gaps[0][0] + n]
+        runs = [(e, s - e) for e, s in zip(ends, nexts)]
+        gaps = sorted((s % n, ln) for s, ln in gaps)
     active = sum(ln for _, ln in runs)
     return RunPartition(
         n, b,
@@ -161,13 +169,12 @@ def dist_b_formula(x: Word, y: Word, b: int) -> int:
 def _dist_formula(xs: tuple, ys: tuple, b: int) -> int:
     if b == 1:
         return sum(map(ne, xs, ys))
-    d_h, _, runs, full_circle = _partition(xs, ys, b)
-    if not runs:
+    d_h, gaps = _gaps(xs, ys, b)
+    if not d_h:
         return 0
-    if full_circle:
-        return len(xs)
-    excess = sum(ln for _, ln in runs) - d_h
-    return d_h + excess + len(runs) * (b - 1)
+    # L = #gaps: with no gap, excess = n - d_h and the formula gives n
+    excess = len(xs) - sum(map(_length, gaps)) - d_h
+    return d_h + excess + len(gaps) * (b - 1)
 
 
 def weight_b_formula(x: Word, b: int) -> int:
@@ -181,10 +188,11 @@ def weight_run_partition(x: Word, b: int) -> RunPartition:
 def check_bounds(x: Word, b: int):
     """Sandwich w_H + b - 1 <= w_b <= b * w_H, valid for 0 < w_H <= n-(b-1)."""
     _check_width(b, x.n)
-    return _bounds(x.symbols, b)
+    return _bounds(x.symbols, b, _weight_oracle(x.symbols, b))
 
 
-def _bounds(s: tuple, b: int):
+def _bounds(s: tuple, b: int, w_b: int):
+    """The sandwich for the word s, whose b-weight scan w_b the caller made."""
     n = len(s)
     w_h = sum(1 for v in s if v != 0)
     if not (0 < w_h <= n - (b - 1)):
@@ -193,5 +201,4 @@ def _bounds(s: tuple, b: int):
         )
     lower = w_h + b - 1
     upper = b * w_h
-    w_b = _weight_oracle(s, b)
     return lower, upper, lower <= w_b <= upper

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
 
 from . import gf
 from .errors import FieldMismatchError, NotAnElementError
@@ -86,15 +87,26 @@ def poly_mul(a: Poly, b: Poly) -> Poly:
 
 @lru_cache(maxsize=256)
 def xminus1_pow(f: FieldParams, i: int) -> Poly:
-    """(x - 1)^i, computed by repeated multiplication in the field; cached,
-    as every codeword of a lemma instance and every Gray walk starts from it."""
+    """(x - 1)^i; cached, as every codeword of a lemma instance and every
+    Gray walk starts from it.
+
+    The coefficient of x^j is (-1)^(i-j) C(i, j) mod p, an element of the
+    prime subfield 0..p-1, built by Lucas's theorem: with i = sum_d i_d p^d in
+    base p, (x - 1)^i = prod_d (x^(p^d) - 1)^(i_d), and the digit factors
+    occupy disjoint powers of x, so each factor lays i_d + 1 scaled copies of
+    the product so far, padded to p^d coefficients, side by side.
+    """
     if i < 0:
         raise ValueError("exponent must be >= 0")
-    base = poly(f, [gf.neg(f, 1), 1])
-    out = poly(f, [1])
-    for _ in range(i):
-        out = poly_mul(out, base)
-    return out
+    p = f.p
+    out, scale = [1], 1          # (x - 1)^(i mod scale), scale = p^d
+    while i:
+        i, digit = divmod(i, p)
+        factor = [comb(digit, t) * (-1) ** (digit - t) % p for t in range(digit + 1)]
+        out += [0] * (scale - len(out))
+        out = [c * a % p for c in factor for a in out]
+        scale *= p
+    return _trimmed(f, out)
 
 
 # ---------------------------------------------------------------------------
@@ -116,9 +128,6 @@ class Word:
     def n(self) -> int:
         return len(self.symbols)
 
-    def support(self):
-        return tuple(j for j, s in enumerate(self.symbols) if s != 0)
-
     def hamming_weight(self) -> int:
         return sum(1 for s in self.symbols if s != 0)
 
@@ -134,12 +143,3 @@ def to_word(a: Poly, n: int) -> Word:
         out[j % n] = gf.add(f, out[j % n], c)
     return Word(tuple(out))
 
-
-def cyclic_shift(w: Word, s: int) -> Word:
-    """Symbol at position j moves to position (j + s) mod n."""
-    n = w.n
-    if n == 0:
-        return w
-    s %= n
-    sym = w.symbols
-    return Word(sym[n - s:] + sym[:n - s])

@@ -14,6 +14,7 @@ import random
 import time
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
+from itertools import islice
 
 from . import codes
 from .bsymbol import (
@@ -166,16 +167,18 @@ class _Stream:
             if r < k:
                 return r
 
-    def trial(self, qs, n_lo: int, n_span: int, count: int):
-        """(q, n, b, symbols): one trial's values of
+    def trials(self, qs, n_lo: int, n_span: int, count: int):
+        """Yield (q, n, b, symbols), one trial's values of
             q = qs[randrange(len(qs))]   (an int qs is q itself, with no draw)
             n = n_lo + randrange(n_span)
             b = 2 + randrange(n - 1)
         then `count` words of n values of randrange(q), as one flat tuple.
 
-        The header is read off the top bytes and the words off the block
-        translated by _top_byte_table(q).  A trial that runs past the block
-        is read again from its start after a refill.
+        The shape is checked and its shifts worked out once, before the first
+        trial.  The header is read off the top bytes and the words off the
+        block translated by _top_byte_table(q).  A trial that runs past the
+        block is read again from its start after a refill.  The read position
+        is stored before each yield, so `below` may be called between trials.
         """
         pick = not isinstance(qs, int)
         k = len(qs) if pick else 1
@@ -183,20 +186,22 @@ class _Stream:
             raise InvalidParameterError(
                 f"random trials need 1..255 values of q and of n, and n <= 256, "
                 f"not {k} and {n_lo}..{n_lo + n_span - 1}")
+        tables = {q: _top_byte_table(q) for q in (qs if pick else (qs,))}
+        q_shift = 8 - k.bit_length()
+        n_shift = 8 - n_span.bit_length()
+        b_shifts = [8 - (n - 1).bit_length() for n in range(n_lo + n_span)]
         while True:
             tops, pos = self._tops, self._pos
             try:
                 q = qs
                 if pick:
-                    shift = 8 - k.bit_length()
-                    while (r := tops[pos] >> shift) >= k:
+                    while (r := tops[pos] >> q_shift) >= k:
                         pos += 1
                     pos, q = pos + 1, qs[r]
-                shift = 8 - n_span.bit_length()
-                while (r := tops[pos] >> shift) >= n_span:
+                while (r := tops[pos] >> n_shift) >= n_span:
                     pos += 1
                 pos, n = pos + 1, n_lo + r
-                shift = 8 - (n - 1).bit_length()
+                shift = b_shifts[n]
                 while (r := tops[pos] >> shift) >= n - 1:
                     pos += 1
                 pos, b = pos + 1, 2 + r
@@ -205,7 +210,7 @@ class _Stream:
                 continue
             mapped = self._mapped.get(q)
             if mapped is None:
-                mapped = self._mapped[q] = tops.translate(_top_byte_table(q))
+                mapped = self._mapped[q] = tops.translate(tables[q])
             # [pos, end) holds n * count accepted bytes less `short`; extend
             # it by `short` until the last extension holds no rejected byte
             end = pos + n * count
@@ -214,8 +219,9 @@ class _Stream:
                 end, short = end + short, mapped.count(255, end, end + short)
             if end <= len(mapped):
                 self._pos = end
-                return q, n, b, tuple(mapped[pos:end].replace(b"\xff", b""))
-            self._refill()
+                yield q, n, b, tuple(mapped[pos:end].replace(b"\xff", b""))
+            else:
+                self._refill()
 
 
 def run_formula_suite(cfg: SuiteConfig) -> SuiteReport:
@@ -224,19 +230,24 @@ def run_formula_suite(cfg: SuiteConfig) -> SuiteReport:
     Both routes read a pair only through the positionwise agreement pattern,
     so the exhaustive binary sweep enumerates every XOR pattern: this covers
     all binary pairs exactly.  A seeded sample of explicit pairs double-checks
-    the pattern reduction itself.
+    the pattern reduction itself: both routes on the pair must give the
+    sweep's oracle value for its pattern.
     """
     rep = SuiteReport("formula")
     t0 = time.perf_counter()
     stream = _Stream(random.Random(cfg.seed))
 
+    oracle = {}          # (n, b) -> the oracle's d_b of each pattern, by mask
     for n in range(2, cfg.exhaustive_n_max + 1):
         zero = (0,) * n
+        for b in range(2, n + 1):
+            oracle[n, b] = []
         for mask in range(2 ** n):
             y = _bits(mask, n)
             for b in range(2, n + 1):
                 f = _dist_formula(zero, y, b)
                 o = _dist_oracle(zero, y, b)
+                oracle[n, b].append(o)
                 if f != o:
                     rep.fail({"n": n, "b": b, "pattern": mask}, o, f)
                 if mask == 0 and f != 0:
@@ -245,19 +256,19 @@ def run_formula_suite(cfg: SuiteConfig) -> SuiteReport:
 
     # explicit binary pairs sampled at random, validating the pattern reduction
     samples = min(cfg.trials // 10, 10_000)
-    for _ in range(samples):
-        _, n, b, xy = stream.trial(2, 2, cfg.exhaustive_n_max - 1, 2)
+    pairs = stream.trials(2, 2, cfg.exhaustive_n_max - 1, 2)
+    for _, n, b, xy in islice(pairs, samples):
         x, y = xy[:n], xy[n:]
         pattern = sum(1 << j for j in range(n) if x[j] != y[j])
-        expected = _dist_oracle((0,) * n, _bits(pattern, n), b)
+        expected = oracle[n, b][pattern]
         f = _dist_formula(x, y, b)
         if f != expected or _dist_oracle(x, y, b) != expected:
             rep.fail({"n": n, "b": b, "x": list(x), "y": list(y)}, expected, f)
     rep.count("binary_pair_sample", samples)
 
     cases = dict.fromkeys(cfg.random_qs, 0)
-    for _ in range(cfg.trials):
-        q, n, b, xy = stream.trial(cfg.random_qs, 2, cfg.random_n_max - 1, 2)
+    pairs = stream.trials(cfg.random_qs, 2, cfg.random_n_max - 1, 2)
+    for q, n, b, xy in islice(pairs, cfg.trials):
         x, y = xy[:n], xy[n:]
         f = _dist_formula(x, y, b)
         o = _dist_oracle(x, y, b)
@@ -377,11 +388,11 @@ def run_bounds_suite(cfg: SuiteConfig) -> SuiteReport:
 
     # randomized sandwich + monotonicity in b + shift invariance
     trials, sandwiched = min(cfg.trials, 20_000), 0
-    for _ in range(trials):
-        _, n, b, x = stream.trial(cfg.random_qs, 3, cfg.random_n_max - 2, 1)
+    words = stream.trials(cfg.random_qs, 3, cfg.random_n_max - 2, 1)
+    for _, n, b, x in islice(words, trials):
         wb = _weight_oracle(x, b)
         if 0 < n - x.count(0) <= n - (b - 1):
-            lo, hi, holds = _bounds(x, b)
+            lo, hi, holds = _bounds(x, b, wb)
             sandwiched += 1
             if not holds:
                 rep.fail({"n": n, "b": b, "x": list(x)}, [lo, hi], wb)
@@ -390,7 +401,7 @@ def run_bounds_suite(cfg: SuiteConfig) -> SuiteReport:
             rep.fail({"n": n, "b": b, "x": list(x), "kind": "monotone"},
                      f">={wprev}", wb)
         s = stream.below(n)
-        shifted = _weight_oracle(x[n - s:] + x[:n - s], b)    # cyclic_shift(x, s)
+        shifted = _weight_oracle(x[n - s:] + x[:n - s], b)    # cyclic shift by s
         if shifted != wb:
             rep.fail({"n": n, "b": b, "s": s, "x": list(x), "kind": "shift"},
                      wb, shifted)

@@ -26,7 +26,7 @@ from bsym.codes import (
     min_b_weight_bruteforce,
 )
 from bsym.gf import make_field
-from bsym.polyring import Word, cyclic_shift, poly
+from bsym.polyring import Word, poly
 from bsym.verify import SuiteConfig, report_json, run_suites
 
 GOLDEN = Word((0, 0, 1, 3, 0, 5, 0, 0, 0, 2, 0, 7, 0, 0, 0))
@@ -234,7 +234,8 @@ def test_accept_7_structural_properties():
             assert weight_b_oracle(x, b) >= weight_b_oracle(x, b - 1)
         s = rng.randrange(n)
         b = rng.randrange(1, n + 1)
-        assert weight_b_oracle(cyclic_shift(x, s), b) == weight_b_oracle(x, b)
+        shifted = Word(x.symbols[n - s:] + x.symbols[:n - s])   # j -> j + s
+        assert weight_b_oracle(shifted, b) == weight_b_oracle(x, b)
         xf = Word(tuple(rng.randrange(5) for _ in range(n)))
         alpha = rng.randrange(1, 5)
         scaled = Word(tuple((v * alpha) % 5 for v in xf.symbols))

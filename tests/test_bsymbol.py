@@ -21,7 +21,7 @@ from bsym.errors import (
     WidthOutOfRangeError,
 )
 from bsym.gf import make_field
-from bsym.polyring import Word, cyclic_shift, to_word, xminus1_pow
+from bsym.polyring import Word, to_word, xminus1_pow
 
 GOLDEN = Word((0, 0, 1, 3, 0, 5, 0, 0, 0, 2, 0, 7, 0, 0, 0))
 
@@ -275,7 +275,8 @@ def test_weight_shift_invariance(symbols, data):
     w = Word(tuple(symbols))
     b = data.draw(st.integers(1, w.n))
     s = data.draw(st.integers(0, w.n - 1))
-    assert weight_b_oracle(cyclic_shift(w, s), b) == weight_b_oracle(w, b)
+    shifted = Word(w.symbols[w.n - s:] + w.symbols[:w.n - s])   # j -> j + s
+    assert weight_b_oracle(shifted, b) == weight_b_oracle(w, b)
 
 
 def test_weight_scalar_invariance():

@@ -1,10 +1,13 @@
 """Golden stdout of the CLI and the demos, pinned by sha256.
 
 Each command runs in a fresh interpreter with PYTHONPATH=src.  The digests
-fix the exact bytes of the verify JSON for three seeds, the CSV/JSON tables,
-the closed-form sweeps without brute force (up to length 2^8192), one
-brute-force row over F_9 and the three demos; any change to them is a change
-of output, not a refactoring.
+fix the exact bytes of the verify JSON for three seeds and of the benchmark's
+`verify --suite all --seed 42 --trials 100000` (the digest of
+perfbench/recorded.json; 1,653 refills of the seeded streams), the
+CSV/JSON tables, the closed-form sweeps without brute force (up to length
+2^8192), one brute-force row over F_9, one over a generator of degree 4080,
+and the three demos; any change to them is a change of output, not a
+refactoring.
 """
 
 import hashlib
@@ -21,6 +24,8 @@ CLI = ["-m", "bsym.cli"]
 GOLDEN = [
     (CLI + ["verify", "--seed", "42", "--trials", "2000"],
      "d869fb9d8077b578f7d12a79e3783dfb7b46f253e38a703a03aeb91ce9fac0c3"),
+    (CLI + ["verify", "--suite", "all", "--seed", "42", "--trials", "100000"],
+     "a6859eb15c66f574dd26aa728433cdc6e7af88aaa692ebcd09c3afa65a40a226"),
     (CLI + ["verify", "--suite", "formula", "--seed", "7", "--trials", "20000"],
      "d25b6b764edace698b5678c1eba0af439f1186436c35b0ec63f615b8c71bbd36"),
     (CLI + ["verify", "--suite", "bounds", "--seed", "123", "--trials", "20000"],
@@ -33,6 +38,9 @@ GOLDEN = [
     (CLI + ["code", "--p", "3", "--e", "2", "--m", "2", "--i", "4", "--b", "2",
             "--method", "brute"],
      "a4c3b615e80fe8edc2ecede615bf2fbb78eb501a0e0ce36670b52f2842f6ce8e"),
+    (CLI + ["code", "--p", "2", "--e", "12", "--i", "4080", "--b", "2",
+            "--method", "brute"],
+     "f65c2dca45b14f7ea534a7817d4c4d072ddc09fb647ff093f335e3da3eb03187"),
     (CLI + ["table", "--p", "2", "--e", "12", "--b", "2..3", "--no-brute",
             "--format", "csv"],
      "b28463dab089f75b1d6753031eb1944ae390df6336458e49f7e8375d2ae2b1c4"),

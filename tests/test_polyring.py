@@ -1,10 +1,12 @@
+import time
+
 import pytest
 
+from bsym import gf
 from bsym.errors import NotAnElementError
 from bsym.gf import make_field
 from bsym.polyring import (
     Word,
-    cyclic_shift,
     poly,
     poly_mul,
     to_word,
@@ -13,6 +15,7 @@ from bsym.polyring import (
 
 Z2 = make_field(2)
 Z3 = make_field(3)
+Z5 = make_field(5)
 
 
 def as_ints(p):
@@ -46,6 +49,32 @@ def test_xminus1_pow_multiplicative():
             assert xminus1_pow(Z3, i + j) == poly_mul(
                 xminus1_pow(Z3, i), xminus1_pow(Z3, j)
             )
+
+
+# F_{p^2} for each p, by an irreducible x^2 - c with c a non-square mod p
+SQUARE_EXTENSIONS = [make_field(2, 2), make_field(3, 2), make_field(5, 2, (3, 0, 1)),
+                     make_field(7, 2, (4, 0, 1))]
+
+
+@pytest.mark.parametrize("f", [Z2, Z3, Z5, make_field(7)] + SQUARE_EXTENSIONS,
+                         ids=repr)
+def test_xminus1_pow_is_repeated_multiplication(f):
+    """The digit-by-digit build against (x - 1)^i as i products by x - 1."""
+    base = poly(f, [gf.neg(f, 1), 1])
+    expected = poly(f, [1])
+    for i in range(201):
+        assert xminus1_pow.__wrapped__(f, i) == expected, i
+        expected = poly_mul(expected, base)
+
+
+def test_xminus1_pow_is_fast_at_a_large_exponent():
+    """The build is O(i log_p i); 4080 products by x - 1 take about 0.8 s."""
+    t0 = time.perf_counter()
+    g = xminus1_pow.__wrapped__(Z2, 4080)
+    assert time.perf_counter() - t0 < 0.1
+    # 4080 = 0b111111110000, so by Lucas's theorem C(4080, j) is odd iff the
+    # bits of j lie in those of 4080: 2^8 nonzero coefficients
+    assert g.degree == 4080 and sum(g.coeffs) == 2 ** 8
 
 
 def test_to_word_xminus1():
@@ -82,11 +111,17 @@ def test_poly_accepts_extension_elements():
         poly(f, [9])
 
 
+def _times_x_to_the(w, s, f):
+    """w times x^s in F[x]/(x^n - 1): the cyclic shift of the ring."""
+    n = w.n
+    return to_word(poly_mul(poly(f, w.symbols), poly(f, [0] * (s % n) + [1])), n)
+
+
 def test_cyclic_shift():
     w = Word((1, 2, 3))
-    assert cyclic_shift(w, 1).symbols == (3, 1, 2)
-    assert cyclic_shift(w, 0).symbols == w.symbols
-    assert cyclic_shift(w, 3).symbols == w.symbols
+    assert _times_x_to_the(w, 1, Z5).symbols == (3, 1, 2)
+    assert _times_x_to_the(w, 0, Z5).symbols == w.symbols
+    assert _times_x_to_the(w, 3, Z5).symbols == w.symbols
 
 
 def _shift_by_placement(w, s):
@@ -99,17 +134,18 @@ def _shift_by_placement(w, s):
 
 
 def test_cyclic_shift_is_the_placement_definition():
-    for n in range(10):
+    z11 = make_field(11)
+    for n in range(1, 10):
         w = Word(tuple(range(1, n + 1)))
         for s in range(-2 * n, 2 * n + 1):
-            assert cyclic_shift(w, s).symbols == _shift_by_placement(w, s), (n, s)
+            assert _times_x_to_the(w, s, z11).symbols == _shift_by_placement(w, s), (n, s)
 
 
 def test_shift_matches_mul_by_x():
     n = 9
     a = poly(Z3, [1, 0, 2, 0, 0, 1])
     shifted = to_word(poly_mul(a, poly(Z3, [0, 1])), n)
-    assert shifted.symbols == cyclic_shift(to_word(a, n), 1).symbols
+    assert shifted.symbols == _shift_by_placement(to_word(a, n), 1)
 
 
 def test_degree_markers():

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from bsym import codes, verify
+from bsym import bsymbol, codes, verify
 from bsym.errors import InvalidParameterError
 from bsym.verify import SuiteConfig, report_json, run_suites
 
@@ -71,6 +71,43 @@ def test_suite_self_check_detects_a_broken_oracle(monkeypatch):
     assert _broken_suite_fails(monkeypatch, "_dist_oracle")
 
 
+@pytest.mark.parametrize("core", ["_dist_oracle", "_dist_formula"])
+def test_pair_sample_checks_the_pattern_reduction(monkeypatch, core):
+    """A core wrong only when x has a nonzero symbol, which the exhaustive
+    sweep (x = 0) never passes it, fails the binary pair sample."""
+    original = getattr(verify, core)
+    monkeypatch.setattr(verify, core,
+                        lambda xs, ys, b: original(xs, ys, b) + any(xs))
+    rep = verify.run_formula_suite(SuiteConfig(seed=7, trials=200, exhaustive_n_max=4))
+    assert any(set(f["inputs"]) == {"n", "b", "x", "y"} for f in rep.failures)
+
+
+def test_each_scan_is_made_once(monkeypatch):
+    """The pair sample reads its expected d_b from the sweep and the sandwich
+    reads the bounds suite's w_b scan, so SMALL makes exactly these scans."""
+    calls = dict.fromkeys(["_dist_oracle", "_weight_oracle"], 0)
+
+    def counting(name):
+        original = getattr(bsymbol, name)
+
+        def scan(*args):
+            calls[name] += 1
+            return original(*args)
+        return scan
+
+    for name in calls:
+        scan = counting(name)
+        monkeypatch.setattr(bsymbol, name, scan)
+        monkeypatch.setattr(verify, name, scan)
+    run_suites(SMALL)
+    sweep = sum(2 ** n * (n - 1) for n in range(2, 9))
+    # one scan per sweep pattern and width, per pair sample, per random pair
+    assert calls["_dist_oracle"] == sweep + 200 + 2000 == 5276
+    # three per bounds trial (w_b, w_{b-1}, shifted), two per lemma instance,
+    # the golden sandwich and two per single-symbol case
+    assert calls["_weight_oracle"] == 3 * 2000 + 2 * 300 + 1 + 2 * 17 == 6635
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SuiteConfig(trials=0)
@@ -100,9 +137,11 @@ def test_bounds_suite_reports_a_wrong_cor2(monkeypatch):
     assert rep.coverage["cor2"] == 10 and "prop7" not in rep.coverage
 
 
-def _draw_both(stream, ref, plan):
+def _draw_both(stream, ref, plan, readers):
     """Run `plan` on the stream and on plain randrange calls of `ref`; each
-    step is ("below", k) or ("trial", qs, n_lo, n_span, count)."""
+    step is ("below", k) or ("trial", qs, n_lo, n_span, count).  A trial is
+    read off `readers[step]`, a live _Stream.trials generator of that shape,
+    so one reader's trials interleave with `below` and other readers."""
     for step in plan:
         if step[0] == "below":
             k = step[1]
@@ -113,7 +152,9 @@ def _draw_both(stream, ref, plan):
             n = n_lo + ref.randrange(n_span)
             b = 2 + ref.randrange(n - 1)
             symbols = tuple(ref.randrange(q) for _ in range(n * count))
-            assert stream.trial(qs, n_lo, n_span, count) == (q, n, b, symbols), step
+            if step not in readers:
+                readers[step] = stream.trials(qs, n_lo, n_span, count)
+            assert next(readers[step]) == (q, n, b, symbols), step
 
 
 def _assert_same_state(stream, seed, ref):
@@ -132,26 +173,27 @@ def _shapes(q):
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9, 16, 200, 255])
 def test_random_word_is_the_randrange_stream(q):
-    """_Stream.trial and _Stream.below, interleaved, give randrange's values."""
+    """_Stream.trials and _Stream.below, interleaved, give randrange's values;
+    each shape's reader is read twice, once in each round of the plan."""
     for seed in range(300):
         pick = random.Random(-1 - seed)
+        steps = [("trial", *shape, pick.randint(1, 3)) for shape in _shapes(q)]
         plan = []
-        for shape in _shapes(q):
-            plan += [("below", pick.randint(1, 255)),
-                     ("trial", *shape, pick.randint(1, 3))]
+        for step in steps + steps:
+            plan += [("below", pick.randint(1, 255)), step]
         stream, ref = verify._Stream(random.Random(seed)), random.Random(seed)
-        _draw_both(stream, ref, plan)
+        _draw_both(stream, ref, plan, {})
         _assert_same_state(stream, seed, ref)
 
 
 def _random_plan_across_blocks(stream, ref, pick, q, blocks):
     """Random steps until `blocks` blocks are used; how many straddled one."""
-    straddled = 0
+    straddled, readers = 0, {}
     while stream.consumed < blocks * verify._BLOCK:
         step = (("below", pick.randint(1, 255)) if pick.random() < 0.5
                 else ("trial", *pick.choice(_shapes(q)), pick.randint(1, 3)))
         first = stream.consumed              # index of the next output
-        _draw_both(stream, ref, [step])
+        _draw_both(stream, ref, [step], readers)
         last = stream.consumed - 1
         straddled += first // verify._BLOCK < last // verify._BLOCK
     return straddled
@@ -187,7 +229,7 @@ def test_stream_rereads_a_trial_that_runs_past_the_block(monkeypatch, q):
 @pytest.mark.parametrize("q", [0, 1, 256])
 def test_random_word_refuses_q_outside_a_byte(q):
     with pytest.raises(InvalidParameterError):
-        verify._Stream(random.Random(0)).trial(q, 2, 5, 1)
+        next(verify._Stream(random.Random(0)).trials(q, 2, 5, 1))
 
 
 @pytest.mark.parametrize("qs,n_lo,n_span", [
@@ -196,7 +238,7 @@ def test_random_word_refuses_q_outside_a_byte(q):
 ])                                                   # below 2 or above 256
 def test_stream_trial_refuses_draws_outside_a_byte(qs, n_lo, n_span):
     with pytest.raises(InvalidParameterError):
-        verify._Stream(random.Random(0)).trial(qs, n_lo, n_span, 1)
+        next(verify._Stream(random.Random(0)).trials(qs, n_lo, n_span, 1))
 @pytest.mark.parametrize("k", [0, 256])
 def test_stream_below_refuses_k_outside_a_byte(k):
     with pytest.raises(InvalidParameterError):
