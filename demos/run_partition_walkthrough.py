@@ -50,7 +50,10 @@ print("\n--- full-circle edge case ---")
 y = Word((1, 0, 0, 1, 0, 0))
 z = Word((0,) * 6)
 print(f"x = {y}, b = 4: zero runs have length 2 < b-1 = 3, so nothing is")
-print("removed and every window is active; the guarded formula returns n.")
+print("removed and every window is active.  The formula's L counts gaps;")
+print("there are none, so d_H + e + 0*(b-1) = 2 + 4 = n directly.")
 print(f"  oracle  d_4 = {dist_b_oracle(y, z, 4)}")
 print(f"  formula d_4 = {dist_b_formula(y, z, 4)}")
-print("  (the unguarded sum d_H + e + L(b-1) = 2 + 4 + 3 = 9 would exceed n=6)")
+full = weight_run_partition(y, 4)
+print(f"  (counting the one active run, the paper's L = {full.L}, would give")
+print(f"   2 + {full.agreement_excess} + {full.L}*3 = 9, above n = 6)")

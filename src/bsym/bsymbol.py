@@ -45,7 +45,7 @@ class RunPartition:
     b: int
     gaps: tuple    # maximal agreement runs of length >= b-1, disjoint
     runs: tuple    # maximal runs of the remaining (active) positions
-    L: int
+    L: int         # the active runs, the paper's L: 1 on the full circle
     agreement_excess: int
     full_circle: bool
 

@@ -18,6 +18,7 @@ for every b in that one pass; `enumerate_codewords` is the slow reference.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
@@ -135,12 +136,16 @@ class DistanceRecord:
 
 def _split(spec: CyclicCodeSpec) -> tuple:
     """(k, i', step) with i = p^e - p^(e-k) + i', 0 < i' <= (p-1) step, for 0 < i < n:
-    step = p^(e-k-1) is the largest power of p at most n - i."""
+    step = p^d is the largest power of p at most n - i, d = e - 1 - k.  The
+    float log only starts d; the two loops make it exact."""
     p, rest = spec.p, spec.n - spec.i
-    k, step = 0, spec.n // p
-    while step > rest:
-        k, step = k + 1, step // p
-    return k, p * step - rest, step
+    d = int(math.log(rest, p))
+    while p ** d > rest:
+        d -= 1
+    while p ** (d + 1) <= rest:
+        d += 1
+    step = p ** d
+    return spec.e - 1 - d, p * step - rest, step
 
 
 def hamming_distance_formula(spec: CyclicCodeSpec) -> int:

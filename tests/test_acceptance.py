@@ -254,8 +254,9 @@ def test_accept_7_structural_properties():
     print(f"\nACCEPT 7 structural properties PASS [{elapsed:.1f} s]")
 
 
-def test_accept_8_determinism():
-    cfg = SuiteConfig(seed=42, trials=2000, lemma_trials=200)
+def test_accept_8_determinism(monkeypatch):
+    monkeypatch.setattr(SuiteConfig, "lemma_trials", 200)
+    cfg = SuiteConfig(seed=42, trials=2000)
     a = report_json(run_suites(cfg)).encode()
     b = report_json(run_suites(cfg)).encode()
     assert a == b

@@ -359,13 +359,33 @@ def test_split_matches_the_searches(p, e):
             assert thm11_decompositions(s, b) == _thm11_by_k_search(p, e, i, b), (i, b)
 
 
-@pytest.mark.parametrize("i", [1, 2 ** 8191, 2 ** 8192 - 2 ** 100, 2 ** 8192 - 1],
-                         ids=["1", "n/2", "n-2^100", "n-1"])
-def test_split_matches_the_searches_at_the_largest_length(i):
-    s = spec(Z2, 8192, i)
-    assert hamming_distance_formula(s) == _hamming_by_branch_search(2, 8192, i)
+LARGEST_E = {2: 8192, 3: 5168, 5: 3528, 7: 2918}     # the largest p^e <= 2^8192
+
+
+@pytest.mark.parametrize("p,i", [
+    (2, 1), (2, 2 ** 8191), (2, 2 ** 8192 - 2 ** 100), (2, 2 ** 8192 - 1),
+    (3, 3 ** 5168 - 9), (3, 3 ** 5168 - 5), (3, 3 ** 5168 - 3), (3, 3 ** 5168 - 1),
+], ids=["1", "n/2", "n-2^100", "n-1", "3:n-9", "3:n-5", "3:n-3", "3:n-1"])
+def test_split_matches_the_searches_at_the_largest_length(p, i):
+    e = LARGEST_E[p]
+    s = spec(make_field(p), e, i)
+    assert hamming_distance_formula(s) == _hamming_by_branch_search(p, e, i)
     for b in (2, 3):
-        assert thm11_decompositions(s, b) == _thm11_by_k_search(2, 8192, i, b)
+        assert thm11_decompositions(s, b) == _thm11_by_k_search(p, e, i, b)
+
+
+@pytest.mark.parametrize("p", sorted(LARGEST_E))
+def test_split_at_every_power_of_p(p):
+    """n - i = p^d - 1, p^d and p^d + 1 for every d: where a float log of
+    n - i rounds across an integer, the step must still be exact."""
+    e, f = LARGEST_E[p], make_field(p)
+    n = p ** e
+    for d in range(1, e):
+        power = p ** d
+        for rest, step in ((power - 1, power // p), (power, power), (power + 1, power)):
+            k = e - 1 - (d - (rest < power))
+            split = codes._split(spec(f, e, n - rest))
+            assert split == (k, p * step - rest, step), (d, rest - power)
 
 
 @pytest.mark.parametrize("f,e", [(Z2, 2), (Z2, 3), (Z3, 1), (Z3, 2), (Z5, 1)])

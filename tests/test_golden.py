@@ -5,7 +5,8 @@ fix the exact bytes of the verify JSON for three seeds and of the benchmark's
 `verify --suite all --seed 42 --trials 100000` (the digest of
 perfbench/recorded.json; 1,653 refills of the seeded streams), the
 CSV/JSON tables, the closed-form sweeps without brute force (up to length
-2^8192), one brute-force row over F_9, one over a generator of degree 4080,
+2^8192, and its last ten rows, where the index split is deepest), one
+brute-force row over F_9, one over a generator of degree 4080,
 and the three demos; any change to them is a change of output, not a
 refactoring.
 """
@@ -20,6 +21,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 CLI = ["-m", "bsym.cli"]
+N = 2 ** 8192
+LAST_ROWS = f"{N - 9}..{N}"
 
 GOLDEN = [
     (CLI + ["verify", "--seed", "42", "--trials", "2000"],
@@ -50,17 +53,21 @@ GOLDEN = [
     (CLI + ["table", "--p", "2", "--e", "8192", "--b", "2", "--i", "0..19",
             "--no-brute", "--format", "csv"],
      "1ff552322a0e86307cc464b30ba1e6f0eb788c769d82beb1750dd6c4d4159b66"),
+    (CLI + ["table", "--p", "2", "--e", "8192", "--b", "2..3", "--i", LAST_ROWS,
+            "--no-brute", "--format", "csv"],
+     "3114a884edd5d9250ef3892723e95688c2de43965b9bc7d87489eb606270b20d"),
     (["demos/code_distance_table.py"],
      "7d1c3936478ef71b9debca85acd8883dcc81a0c8350779f103a387553d4bad2e"),
     (["demos/run_partition_walkthrough.py"],
-     "8a614036821bc4235e07c741e27d1e60f7b08bc91983fa0685c9035d88f0afde"),
+     "f668f35525f127478e7e8cb739587131c7e8d8af0fdd42de6083749f48da0a84"),
     (["demos/weight_decomposition.py"],
      "4876fc97ddae55a8b460fda9272669e89fc0b6b7e58659973bccaf7dd799d7bb"),
 ]
 
 
 @pytest.mark.parametrize("argv,digest", GOLDEN,
-                         ids=[" ".join(argv) for argv, _ in GOLDEN])
+                         ids=[" ".join(argv).replace(LAST_ROWS, "<n-9>..<n>")
+                              for argv, _ in GOLDEN])
 def test_stdout_digest(argv, digest):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     env.pop("BSYM_CAP", None)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 
@@ -7,12 +8,20 @@ from bsym import bsymbol, codes, verify
 from bsym.errors import InvalidParameterError
 from bsym.verify import SuiteConfig, report_json, run_suites
 
-SMALL = SuiteConfig(seed=7, trials=2000, lemma_trials=100, exhaustive_n_max=8)
+SMALL = SuiteConfig(seed=7, trials=2000)
+
+
+def _small_shape(mp):
+    """The suite shape SMALL runs with: 100 lemma trials, the sweep to n = 8."""
+    mp.setattr(SuiteConfig, "lemma_trials", 100)
+    mp.setattr(SuiteConfig, "exhaustive_n_max", 8)
 
 
 @pytest.fixture(scope="module")
 def reports():
-    return run_suites(SMALL)
+    with pytest.MonkeyPatch.context() as mp:
+        _small_shape(mp)
+        return run_suites(SMALL)
 
 
 def test_all_suites_pass(reports):
@@ -40,7 +49,8 @@ def test_bounds_coverage(reports):
         assert cov.get(key, 0) >= 1, key
 
 
-def test_reports_deterministic():
+def test_reports_deterministic(monkeypatch):
+    _small_shape(monkeypatch)
     a = report_json(run_suites(SMALL, "formula"))
     b = report_json(run_suites(SMALL, "formula"))
     assert a == b
@@ -58,7 +68,8 @@ def test_report_json_structure(reports):
 def _broken_suite_fails(monkeypatch, core):
     original = getattr(verify, core)
     monkeypatch.setattr(verify, core, lambda xs, ys, b: original(xs, ys, b) + (xs != ys))
-    rep = verify.run_formula_suite(SuiteConfig(seed=7, trials=50, exhaustive_n_max=4))
+    monkeypatch.setattr(SuiteConfig, "exhaustive_n_max", 4)
+    rep = verify.run_formula_suite(SuiteConfig(seed=7, trials=50))
     return not rep.passed
 
 
@@ -78,7 +89,8 @@ def test_pair_sample_checks_the_pattern_reduction(monkeypatch, core):
     original = getattr(verify, core)
     monkeypatch.setattr(verify, core,
                         lambda xs, ys, b: original(xs, ys, b) + any(xs))
-    rep = verify.run_formula_suite(SuiteConfig(seed=7, trials=200, exhaustive_n_max=4))
+    monkeypatch.setattr(SuiteConfig, "exhaustive_n_max", 4)
+    rep = verify.run_formula_suite(SuiteConfig(seed=7, trials=200))
     assert any(set(f["inputs"]) == {"n", "b", "x", "y"} for f in rep.failures)
 
 
@@ -99,6 +111,7 @@ def test_each_scan_is_made_once(monkeypatch):
         scan = counting(name)
         monkeypatch.setattr(bsymbol, name, scan)
         monkeypatch.setattr(verify, name, scan)
+    _small_shape(monkeypatch)
     run_suites(SMALL)
     sweep = sum(2 ** n * (n - 1) for n in range(2, 9))
     # one scan per sweep pattern and width, per pair sample, per random pair
@@ -119,10 +132,24 @@ def test_config_refuses_trials_above_the_bound():
         SuiteConfig(trials=verify.MAX_TRIALS + 1)
 
 
+def test_config_holds_only_seed_trials_and_cap():
+    """The suite shape is fixed: class constants, not fields."""
+    assert [f.name for f in dataclasses.fields(SuiteConfig)] == ["seed", "trials", "cap"]
+    assert SuiteConfig(seed=42, trials=100_000).grid == verify.DEFAULT_GRID
+    assert not hasattr(verify.SuiteReport("formula"), "elapsed")
+
+
+def _one_code_grid(mp):
+    """The code grid cut to C_i over F_3 of length 9, at b = 2 only."""
+    mp.setattr(SuiteConfig, "grid", ((3, 2, 1),))
+    mp.setattr(SuiteConfig, "b_max", 2)
+
+
 def test_code_suite_reports_disagreeing_rules(monkeypatch):
     """A wrong Thm11 beside Thm9 at (p,e,m,i,b) = (3,2,1,1,2) is an overlap failure."""
     monkeypatch.setattr(codes, "thm11_decompositions", lambda s, b: [(1, 0)])
-    rep = verify.run_code_suite(SuiteConfig(grid=((3, 2, 1),), b_max=2))
+    _one_code_grid(monkeypatch)
+    rep = verify.run_code_suite(SuiteConfig())
     assert not rep.passed
     assert {"inputs": {"p": 3, "e": 2, "m": 1, "i": 1, "b": 2, "kind": "overlap"},
             "expected": ["Thm9", 3], "actual": ["Thm11", 6]} in rep.failures
@@ -131,7 +158,8 @@ def test_code_suite_reports_disagreeing_rules(monkeypatch):
 def test_bounds_suite_reports_a_wrong_cor2(monkeypatch):
     monkeypatch.setattr(codes, "sandwiches",
                         lambda s, b, d_h: [("Cor2", (s.n + 1, s.n + 1))])
-    rep = verify.run_bounds_suite(SuiteConfig(trials=10, grid=((3, 2, 1),), b_max=2))
+    _one_code_grid(monkeypatch)
+    rep = verify.run_bounds_suite(SuiteConfig(trials=10))
     assert not rep.passed
     assert {f["inputs"]["kind"] for f in rep.failures} == {"cor2"}
     assert rep.coverage["cor2"] == 10 and "prop7" not in rep.coverage
@@ -243,14 +271,3 @@ def test_stream_trial_refuses_draws_outside_a_byte(qs, n_lo, n_span):
 def test_stream_below_refuses_k_outside_a_byte(k):
     with pytest.raises(InvalidParameterError):
         verify._Stream(random.Random(0)).below(k)
-
-
-@pytest.mark.parametrize("bad", [
-    {"random_qs": (3, 256)},
-    {"random_qs": (1, 4)},
-    {"random_qs": ()},
-    {"random_n_max": 256},
-])
-def test_config_refuses_draws_outside_a_byte(bad):
-    with pytest.raises(InvalidParameterError):
-        SuiteConfig(**bad)
