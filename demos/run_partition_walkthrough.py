@@ -20,15 +20,15 @@ from bsym.bsymbol import (
     weight_b_oracle,
     weight_run_partition,
 )
-from bsym.polyring import Word
 
-x = Word((0, 0, 1, 3, 0, 5, 0, 0, 0, 2, 0, 7, 0, 0, 0))
+x = (0, 0, 1, 3, 0, 5, 0, 0, 0, 2, 0, 7, 0, 0, 0)
 b = 4
+w_h = sum(1 for s in x if s != 0)
 
-print(f"word      x = {x}")
+print(f"word      x = {','.join(map(str, x))}")
 print(f"width     b = {b}\n")
 
-print("the", x.n, "windows:")
+print("the", len(x), "windows:")
 for j, win in enumerate(pi_b(x, b)):
     tag = "zero" if all(s == 0 for s in win) else "  ->counts"
     print(f"  j={j:2d}  {win}  {tag}")
@@ -42,14 +42,14 @@ print(f"  zero runs of length >= b-1 (removed): "
 print(f"  active runs:                          "
       f"{[sorted(r.indices()) for r in part.runs]}")
 print(f"  L = {part.L}  trapped zeros e = {part.agreement_excess}  "
-      f"w_H = {x.hamming_weight()}")
-print(f"  formula: {x.hamming_weight()} + {part.agreement_excess} "
+      f"w_H = {w_h}")
+print(f"  formula: {w_h} + {part.agreement_excess} "
       f"+ {part.L}*{b - 1} = {weight_b_formula(x, b)}")
 
 print("\n--- full-circle edge case ---")
-y = Word((1, 0, 0, 1, 0, 0))
-z = Word((0,) * 6)
-print(f"x = {y}, b = 4: zero runs have length 2 < b-1 = 3, so nothing is")
+y = (1, 0, 0, 1, 0, 0)
+z = (0,) * 6
+print(f"x = {','.join(map(str, y))}, b = 4: zero runs have length 2 < b-1 = 3, so nothing is")
 print("removed and every window is active.  The formula's L counts gaps;")
 print("there are none, so d_H + e + 0*(b-1) = 2 + 4 = n directly.")
 print(f"  oracle  d_4 = {dist_b_oracle(y, z, 4)}")

@@ -22,9 +22,9 @@ period = 3 ** (e - k)
 g = poly(f, [2, 1])  # x - 1 over F_3
 c_word = lemma10_codeword(f, e, k, g)
 print(f"g(x) = {g}")
-print(f"c(x) = (x-1)^{9 - 3} * g(x) as a word: {c_word}")
+print(f"c(x) = (x-1)^{9 - 3} * g(x) as a word: {','.join(map(str, c_word))}")
 print(f"  -> three copies of the period-{period} block "
-      f"{to_word(g, period)}\n")
+      f"{','.join(map(str, to_word(g, period)))}\n")
 
 for b in (2, 3):
     predicted = lemma10_weight(f, e, k, g, b)

@@ -29,7 +29,6 @@ from .codes import (
 from .gf import FieldParams, make_field
 from .polyring import (
     Poly,
-    Word,
     poly,
     poly_mul,
     to_word,

@@ -11,6 +11,9 @@ The formula reads only the gaps, which one finder computes; run_partition
 derives the active runs from them.  There are L active runs, except with no
 gap at all: then the one active run is the whole circle, every window holds a
 disagreement, and L = 0 gives d_b = n.  Indexing is uniformly 0-based.
+
+A word is a tuple of symbols.  Symbols are only compared with == and != 0,
+so they may be field elements or any other values.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from .errors import (
     LengthMismatchError,
     WidthOutOfRangeError,
 )
-from .polyring import Word
 
 
 @dataclass(frozen=True)
@@ -58,23 +60,22 @@ def _check_width(b: int, n: int, lo: int = 1):
         raise WidthOutOfRangeError(b, n)
 
 
-def _check_pair(x: Word, y: Word):
-    if x.n != y.n:
-        raise LengthMismatchError(f"lengths {x.n} != {y.n}")
+def _check_pair(x: tuple, y: tuple):
+    if len(x) != len(y):
+        raise LengthMismatchError(f"lengths {len(x)} != {len(y)}")
 
 
-def pi_b(x: Word, b: int):
+def pi_b(x: tuple, b: int):
     """The n overlapping circular windows (x_j, ..., x_{j+b-1})."""
-    n = x.n
+    n = len(x)
     _check_width(b, n)
-    s = x.symbols
-    return [tuple(s[(j + t) % n] for t in range(b)) for j in range(n)]
+    return [tuple(x[(j + t) % n] for t in range(b)) for j in range(n)]
 
 
-def weight_b_oracle(x: Word, b: int) -> int:
+def weight_b_oracle(x: tuple, b: int) -> int:
     """Number of windows of pi_b(x) that are not identically zero."""
-    _check_width(b, x.n)
-    return _weight_oracle(x.symbols, b)
+    _check_width(b, len(x))
+    return _weight_oracle(x, b)
 
 
 def _weight_oracle(s: tuple, b: int) -> int:
@@ -88,11 +89,11 @@ def _weight_oracle(s: tuple, b: int) -> int:
     return count
 
 
-def dist_b_oracle(x: Word, y: Word, b: int) -> int:
+def dist_b_oracle(x: tuple, y: tuple, b: int) -> int:
     """Hamming distance between the two window sequences, by direct scan."""
     _check_pair(x, y)
-    _check_width(b, x.n)
-    return _dist_oracle(x.symbols, y.symbols, b)
+    _check_width(b, len(x))
+    return _dist_oracle(x, y, b)
 
 
 def _dist_oracle(xs: tuple, ys: tuple, b: int) -> int:
@@ -129,18 +130,17 @@ def _gaps(xs: tuple, ys: tuple, b: int):
     return len(diff), gaps
 
 
-def run_partition(x: Word, y: Word, b: int) -> RunPartition:
+def run_partition(x: tuple, y: tuple, b: int) -> RunPartition:
     """Agreement gaps (length >= b-1) and the active runs between them."""
     _check_pair(x, y)
-    n = x.n
+    n = len(x)
     _check_width(b, n, lo=2)
-    xs, ys = x.symbols, y.symbols
-    d_h, gaps = _gaps(xs, ys, b)
+    d_h, gaps = _gaps(x, y, b)
     full_circle = d_h > 0 and not gaps
     if not d_h:
         runs = []
     elif full_circle:            # the whole circle, from the first disagreement
-        runs = [(next(j for j in range(n) if xs[j] != ys[j]), n)]
+        runs = [(next(j for j in range(n) if x[j] != y[j]), n)]
     else:
         # each run goes from the disagreement that ends one gap to the one
         # that starts the next gap, the last one to the first gap a turn on;
@@ -159,11 +159,11 @@ def run_partition(x: Word, y: Word, b: int) -> RunPartition:
     )
 
 
-def dist_b_formula(x: Word, y: Word, b: int) -> int:
+def dist_b_formula(x: tuple, y: tuple, b: int) -> int:
     """Run-partition route to d_b; must always agree with dist_b_oracle."""
     _check_pair(x, y)
-    _check_width(b, x.n)
-    return _dist_formula(x.symbols, y.symbols, b)
+    _check_width(b, len(x))
+    return _dist_formula(x, y, b)
 
 
 def _dist_formula(xs: tuple, ys: tuple, b: int) -> int:
@@ -177,18 +177,18 @@ def _dist_formula(xs: tuple, ys: tuple, b: int) -> int:
     return d_h + excess + len(gaps) * (b - 1)
 
 
-def weight_b_formula(x: Word, b: int) -> int:
-    return dist_b_formula(x, Word((0,) * x.n), b)
+def weight_b_formula(x: tuple, b: int) -> int:
+    return dist_b_formula(x, (0,) * len(x), b)
 
 
-def weight_run_partition(x: Word, b: int) -> RunPartition:
-    return run_partition(x, Word((0,) * x.n), b)
+def weight_run_partition(x: tuple, b: int) -> RunPartition:
+    return run_partition(x, (0,) * len(x), b)
 
 
-def check_bounds(x: Word, b: int):
+def check_bounds(x: tuple, b: int):
     """Sandwich w_H + b - 1 <= w_b <= b * w_H, valid for 0 < w_H <= n-(b-1)."""
-    _check_width(b, x.n)
-    return _bounds(x.symbols, b, _weight_oracle(x.symbols, b))
+    _check_width(b, len(x))
+    return _bounds(x, b, _weight_oracle(x, b))
 
 
 def _bounds(s: tuple, b: int, w_b: int):

@@ -15,9 +15,8 @@ from itertools import chain
 from . import codes, verify
 from .bsymbol import dist_b_formula, dist_b_oracle, pi_b
 from .codes import CyclicCodeSpec, build_record, record_to_dict
-from .errors import BsymError, UsageError
+from .errors import BsymError, IndexOutOfRangeError, UsageError
 from .gf import make_field
-from .polyring import Word
 
 MAX_TABLE_ROWS = 2 ** 20     # i values times widths; p = 2, e = 16 has 65,537 a width
 
@@ -36,9 +35,9 @@ def parse_range(text: str):
     return lo, hi
 
 
-def parse_generic_word(text: str) -> Word:
+def parse_generic_word(text: str) -> tuple:
     try:
-        return Word(tuple(int(s) for s in text.split(",")))
+        return tuple(int(s) for s in text.split(","))
     except ValueError as exc:
         raise UsageError(f"cannot parse word {text!r}: {exc}") from None
 
@@ -114,8 +113,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_pi(args) -> int:
     w = parse_generic_word(args.word)
-    if args.n is not None and args.n != w.n:
-        raise UsageError(f"--n {args.n} does not match word length {w.n}")
+    if args.n is not None and args.n != len(w):
+        raise UsageError(f"--n {args.n} does not match word length {len(w)}")
     for window in pi_b(w, args.b):
         print(",".join(str(s) for s in window))
     return 0
@@ -208,7 +207,8 @@ def _cmd_table(args) -> int:
     # largest code, test every width and the cap, then a bad i_hi.
     spec = CyclicCodeSpec(f, args.e, i_lo)
     first = [build_record(spec, b, cap, with_brute) for b in widths]
-    CyclicCodeSpec(f, args.e, min(i_hi, n + 1))
+    if i_hi > n:
+        raise IndexOutOfRangeError(f"i={i_hi} outside [0, {n}]")
     rest = (build_record(CyclicCodeSpec(f, args.e, i), b, cap, with_brute)
             for i in range(i_lo + 1, i_hi + 1) for b in widths)
     return 0 if _emit_records(chain(first, rest), args.format, args.out) else 2

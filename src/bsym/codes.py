@@ -35,7 +35,7 @@ from .errors import (
     WidthTooLargeError,
 )
 from .gf import FieldParams
-from .polyring import Poly, Word, poly_mul, to_word, xminus1_pow
+from .polyring import Poly, poly_mul, to_word, xminus1_pow
 
 DEFAULT_CAP = 2 ** 22
 MAX_LENGTH_BITS = 8192       # the largest code length is n = p^e <= 2^8192
@@ -90,10 +90,6 @@ class CyclicCodeSpec:
     @property
     def k_dim(self) -> int:
         return self.n - self.i
-
-    @property
-    def size(self) -> int:
-        return self.field.q ** self.k_dim
 
     def generator(self) -> Poly:
         return xminus1_pow(self.field, self.i)
@@ -160,7 +156,7 @@ def hamming_distance_formula(spec: CyclicCodeSpec) -> int:
 
 
 def above_cap(spec: CyclicCodeSpec, cap: int) -> bool:
-    """spec.size > cap, without building q^k_dim when it is far above the cap:
+    """q^k_dim > cap, without building q^k_dim when it is far above the cap:
     q >= 2^(bl-1) for bl = q.bit_length(), so k_dim * (bl-1) >= the bit length
     of the cap puts q^k_dim above it, and otherwise q^k_dim < cap^2."""
     q, k = spec.field.q, spec.k_dim
@@ -173,12 +169,12 @@ def _refuse_above_cap(spec: CyclicCodeSpec, cap: int):
 
 
 def enumerate_codewords(spec: CyclicCodeSpec, cap: int | None = None):
-    """All q^{k_dim} codewords as Words, in deterministic message order."""
+    """All q^{k_dim} codewords as tuples, in deterministic message order."""
     cap = enumeration_cap() if cap is None else cap
     _refuse_above_cap(spec, cap)
     f = spec.field
     n = spec.n
-    gen_word = to_word(spec.generator(), n).symbols
+    gen_word = to_word(spec.generator(), n)
     # precompute the cyclic shifts x^j * (x-1)^i as symbol tuples
     shifts = []
     for j in range(spec.k_dim):
@@ -186,7 +182,7 @@ def enumerate_codewords(spec: CyclicCodeSpec, cap: int | None = None):
 
     def rec(j, acc):
         if j == spec.k_dim:
-            yield Word(tuple(acc))
+            yield tuple(acc)
             return
         yield from rec(j + 1, acc)
         row = shifts[j]
@@ -250,7 +246,7 @@ def _gray_supports(spec: CyclicCodeSpec):
     nonzero_bias = ones * ((1 << (bits - 1)) - 1)
     reduce_bias = ones * ((1 << (bits - 1)) - p)
     row = 0
-    for t, sym in enumerate(to_word(spec.generator(), n).symbols):
+    for t, sym in enumerate(to_word(spec.generator(), n)):
         row |= sym << (bits * t)
     shifts = [
         ((row << bits * j) | (row >> span - bits * j)) & full
@@ -423,7 +419,7 @@ def lemma10_weight(f: FieldParams, e: int, k: int, g: Poly, b: int) -> int:
     return p ** k * (w_b_g - (b - 1) + zeta + a)
 
 
-def lemma10_codeword(f: FieldParams, e: int, k: int, g: Poly) -> Word:
+def lemma10_codeword(f: FieldParams, e: int, k: int, g: Poly) -> tuple:
     """The explicit word of (x-1)^{p^e - p^{e-k}} g(x) mod x^{p^e} - 1."""
     n = f.p ** e
     c = poly_mul(xminus1_pow(f, n - f.p ** (e - k)), g)

@@ -205,17 +205,6 @@ def add(f: FieldParams, a: int, b: int) -> int:
     return _element(p, [(x + y) % p for x, y in zip(_digits(f, a), _digits(f, b))])
 
 
-def sub(f: FieldParams, a: int, b: int) -> int:
-    p = f.p
-    if f.m == 1:
-        return (a - b) % p
-    return _element(p, [(x - y) % p for x, y in zip(_digits(f, a), _digits(f, b))])
-
-
-def neg(f: FieldParams, a: int) -> int:
-    return sub(f, 0, a)
-
-
 def mul(f: FieldParams, a: int, b: int) -> int:
     p = f.p
     if f.m == 1:

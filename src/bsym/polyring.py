@@ -3,7 +3,8 @@
 Coefficients and symbols are elements of F_{p^m} in the int encoding of
 :mod:`bsym.gf` (ints in range(q), zero is 0), stored constant term first
 everywhere, matching the vector convention used by the windowed-read metrics:
-the word (x_0, ..., x_{n-1}) is the polynomial x_0 + x_1 x + ... + x_{n-1} x^{n-1}.
+a word is the tuple (x_0, ..., x_{n-1}) of its symbols, the polynomial
+x_0 + x_1 x + ... + x_{n-1} x^{n-1}.
 """
 
 from __future__ import annotations
@@ -109,37 +110,11 @@ def xminus1_pow(f: FieldParams, i: int) -> Poly:
     return _trimmed(f, out)
 
 
-# ---------------------------------------------------------------------------
-# Words
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Word:
-    """A length-n tuple of symbols whose zero symbol is 0.
-
-    Only symbol equality and comparison with 0 are ever used by the
-    windowed-read metrics, so symbols may be field elements or any other
-    hashable values.
-    """
-
-    symbols: tuple
-
-    @property
-    def n(self) -> int:
-        return len(self.symbols)
-
-    def hamming_weight(self) -> int:
-        return sum(1 for s in self.symbols if s != 0)
-
-    def __str__(self):
-        return ",".join(str(s) for s in self.symbols)
-
-
-def to_word(a: Poly, n: int) -> Word:
+def to_word(a: Poly, n: int) -> tuple:
     """Reduce a mod x^n - 1 and lay the coefficients out as a length-n word."""
     f = a.field
     out = [0] * n
     for j, c in enumerate(a.coeffs):
         out[j % n] = gf.add(f, out[j % n], c)
-    return Word(tuple(out))
+    return tuple(out)
 

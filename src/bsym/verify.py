@@ -26,7 +26,7 @@ from .bsymbol import (
 from .codes import CyclicCodeSpec
 from .errors import InvalidParameterError
 from .gf import make_field
-from .polyring import Word, poly
+from .polyring import poly
 
 DEFAULT_GRID = (
     (2, 2, 1),
@@ -354,7 +354,7 @@ def run_bounds_suite(cfg: SuiteConfig) -> SuiteReport:
     stream = _Stream(random.Random(cfg.seed))
 
     # the worked example from the golden word
-    golden = Word((0, 0, 1, 3, 0, 5, 0, 0, 0, 2, 0, 7, 0, 0, 0))
+    golden = (0, 0, 1, 3, 0, 5, 0, 0, 0, 2, 0, 7, 0, 0, 0)
     lo, hi, holds = check_bounds(golden, 4)
     rep.count("golden_bounds")
     if (lo, hi, holds) != (8, 20, True):
@@ -363,7 +363,7 @@ def run_bounds_suite(cfg: SuiteConfig) -> SuiteReport:
     # single nonzero symbol: both bounds tight at b
     for n in (4, 7, 9):
         for b in range(2, n + 1):
-            w = Word(tuple(1 if j == 2 else 0 for j in range(n)))
+            w = tuple(1 if j == 2 else 0 for j in range(n))
             lo, hi, holds = check_bounds(w, b)
             wb = weight_b_oracle(w, b)
             rep.count("single_symbol")

@@ -21,9 +21,9 @@ from bsym.errors import (
     WidthOutOfRangeError,
 )
 from bsym.gf import make_field
-from bsym.polyring import Word, to_word, xminus1_pow
+from bsym.polyring import to_word, xminus1_pow
 
-GOLDEN = Word((0, 0, 1, 3, 0, 5, 0, 0, 0, 2, 0, 7, 0, 0, 0))
+GOLDEN = (0, 0, 1, 3, 0, 5, 0, 0, 0, 2, 0, 7, 0, 0, 0)
 
 
 def rand_word_pair(draw_n=st.integers(2, 12), q=3):
@@ -47,18 +47,18 @@ def test_pi_b_golden_windows():
 
 
 def test_pi_1_is_identity():
-    w = Word((1, 0, 2, 2))
-    assert [t[0] for t in pi_b(w, 1)] == list(w.symbols)
+    w = (1, 0, 2, 2)
+    assert [t[0] for t in pi_b(w, 1)] == list(w)
 
 
 def test_pi_full_wraparound():
-    w = Word(("a", "b", "c"))
+    w = ("a", "b", "c")
     assert pi_b(w, 3) == [("a", "b", "c"), ("b", "c", "a"), ("c", "a", "b")]
 
 
 def test_pi_width_out_of_range():
     with pytest.raises(WidthOutOfRangeError):
-        pi_b(Word((1, 2, 3)), 4)
+        pi_b((1, 2, 3), 4)
 
 
 # --- weights --------------------------------------------------------------
@@ -69,13 +69,13 @@ def test_golden_weight():
 
 
 def test_zero_word_weight():
-    assert weight_b_oracle(Word((0,) * 8), 3) == 0
-    assert weight_b_formula(Word((0,) * 8), 3) == 0
+    assert weight_b_oracle((0,) * 8, 3) == 0
+    assert weight_b_formula((0,) * 8, 3) == 0
 
 
 def test_periodic_word_weight():
     # zeros isolated, so every length-3 window hits a nonzero
-    w = Word((2, 1, 0, 2, 1, 0, 2, 1, 0))
+    w = (2, 1, 0, 2, 1, 0, 2, 1, 0)
     assert weight_b_oracle(w, 3) == 9
 
 
@@ -89,7 +89,7 @@ def test_xminus1_sq_weight_formula():
 # --- run partition --------------------------------------------------------
 
 def test_golden_partition():
-    zero = Word((0,) * 15)
+    zero = (0,) * 15
     part = run_partition(GOLDEN, zero, 4)
     assert part.L == 2
     assert part.agreement_excess == 2
@@ -101,7 +101,7 @@ def test_golden_partition():
 
 
 def test_partition_equal_words():
-    w = Word((1, 2, 3, 4))
+    w = (1, 2, 3, 4)
     part = run_partition(w, w, 2)
     assert part.runs == ()
     assert len(part.gaps) == 1 and part.gaps[0].length == 4
@@ -109,8 +109,8 @@ def test_partition_equal_words():
 
 def test_partition_full_circle():
     # disagreements at {0, 3}: agreement runs of length 2 < b-1 = 3
-    x = Word((1, 0, 0, 1, 0, 0))
-    y = Word((0,) * 6)
+    x = (1, 0, 0, 1, 0, 0)
+    y = (0,) * 6
     part = run_partition(x, y, 4)
     assert part.full_circle
     assert part.L == 1
@@ -119,15 +119,15 @@ def test_partition_full_circle():
 
 def test_partition_run_endpoints_are_disagreements():
     for xm in range(1, 2 ** 8):
-        x = Word(tuple((xm >> j) & 1 for j in range(8)))
-        y = Word((0,) * 8)
+        x = tuple((xm >> j) & 1 for j in range(8))
+        y = (0,) * 8
         for b in range(2, 9):
             part = run_partition(x, y, b)
             if part.full_circle:
                 continue
             for r in part.runs:
-                assert x.symbols[r.start] != 0
-                assert x.symbols[(r.start + r.length - 1) % 8] != 0
+                assert x[r.start] != 0
+                assert x[(r.start + r.length - 1) % 8] != 0
             for g in part.gaps:
                 assert g.length >= b - 1
 
@@ -177,7 +177,7 @@ def test_partition_is_complete_and_maximal():
 
     def check(xs, ys, b):
         expected = _naive_partition(xs, ys, b)
-        assert _partition_tuples(run_partition(Word(xs), Word(ys), b)) == expected
+        assert _partition_tuples(run_partition(xs, ys, b)) == expected
         _, runs, _, _, full_circle = expected
         seen["equal" if not runs else "full_circle" if full_circle else "split"] += 1
 
@@ -201,40 +201,40 @@ def test_partition_is_complete_and_maximal():
 # --- distances ------------------------------------------------------------
 
 def test_dist_b1_is_hamming():
-    x, y = Word((1, 2, 0, 1)), Word((1, 0, 0, 2))
+    x, y = (1, 2, 0, 1), (1, 0, 0, 2)
     assert dist_b_oracle(x, y, 1) == 2
     assert dist_b_formula(x, y, 1) == 2
 
 
 def test_dist_identity():
-    w = Word((1, 2, 3))
+    w = (1, 2, 3)
     assert dist_b_oracle(w, w, 2) == 0
     assert dist_b_formula(w, w, 2) == 0
 
 
 def test_dist_full_circle_guard():
     # every circular 4-window covers position 0 or 3
-    x = Word((1, 0, 0, 1, 0, 0))
-    y = Word((0,) * 6)
+    x = (1, 0, 0, 1, 0, 0)
+    y = (0,) * 6
     assert dist_b_oracle(x, y, 4) == 6
     assert dist_b_formula(x, y, 4) == 6
 
 
 def test_golden_formula_decomposition():
-    zero = Word((0,) * 15)
+    zero = (0,) * 15
     assert dist_b_formula(GOLDEN, zero, 4) == 5 + 2 + 2 * 3
 
 
 def test_length_mismatch():
     with pytest.raises(LengthMismatchError):
-        dist_b_oracle(Word((1, 2)), Word((1, 2, 3)), 2)
+        dist_b_oracle((1, 2), (1, 2, 3), 2)
 
 
 def test_formula_oracle_exhaustive_binary():
     for n in range(2, 9):
-        zero = Word((0,) * n)
+        zero = (0,) * n
         for mask in range(2 ** n):
-            y = Word(tuple((mask >> j) & 1 for j in range(n)))
+            y = tuple((mask >> j) & 1 for j in range(n))
             for b in range(2, n + 1):
                 assert dist_b_formula(zero, y, b) == dist_b_oracle(zero, y, b)
 
@@ -243,18 +243,18 @@ def test_formula_oracle_exhaustive_binary():
 @settings(max_examples=300)
 def test_formula_oracle_random_q3(data):
     xs, ys, b = data
-    x, y = Word(tuple(xs)), Word(tuple(ys))
+    x, y = tuple(xs), tuple(ys)
     assert dist_b_formula(x, y, b) == dist_b_oracle(x, y, b)
 
 
 def test_metric_axioms_small():
     n, q = 4, 2
-    words = [Word(tuple((m >> j) & 1 for j in range(n))) for m in range(q ** n)]
+    words = [tuple((m >> j) & 1 for j in range(n)) for m in range(q ** n)]
     for b in range(2, n + 1):
         for x, y in itertools.product(words, repeat=2):
             dxy = dist_b_oracle(x, y, b)
             assert dxy == dist_b_oracle(y, x, b)
-            assert (dxy == 0) == (x.symbols == y.symbols)
+            assert (dxy == 0) == (x == y)
         for x, y, z in itertools.product(words, repeat=3):
             assert dist_b_oracle(x, z, b) <= (
                 dist_b_oracle(x, y, b) + dist_b_oracle(y, z, b)
@@ -264,35 +264,35 @@ def test_metric_axioms_small():
 @given(st.lists(st.integers(0, 2), min_size=3, max_size=15), st.data())
 @settings(max_examples=300)
 def test_weight_monotone_in_b(symbols, data):
-    w = Word(tuple(symbols))
-    b = data.draw(st.integers(2, w.n))
+    w = tuple(symbols)
+    b = data.draw(st.integers(2, len(w)))
     assert weight_b_oracle(w, b) >= weight_b_oracle(w, b - 1)
 
 
 @given(st.lists(st.integers(0, 3), min_size=2, max_size=15), st.data())
 @settings(max_examples=300)
 def test_weight_shift_invariance(symbols, data):
-    w = Word(tuple(symbols))
-    b = data.draw(st.integers(1, w.n))
-    s = data.draw(st.integers(0, w.n - 1))
-    shifted = Word(w.symbols[w.n - s:] + w.symbols[:w.n - s])   # j -> j + s
+    w = tuple(symbols)
+    n = len(w)
+    b = data.draw(st.integers(1, n))
+    s = data.draw(st.integers(0, n - 1))
+    shifted = w[n - s:] + w[:n - s]   # j -> j + s
     assert weight_b_oracle(shifted, b) == weight_b_oracle(w, b)
 
 
 def test_weight_scalar_invariance():
     f = make_field(5)
-    w = Word((0, 2, 0, 3, 1, 0, 0))
+    w = (0, 2, 0, 3, 1, 0, 0)
     for alpha in range(1, 5):
-        scaled = Word(tuple(gf.mul(f, alpha, s) for s in w.symbols))
+        scaled = tuple(gf.mul(f, alpha, s) for s in w)
         for b in range(1, 8):
             assert weight_b_oracle(scaled, b) == weight_b_oracle(w, b)
 
 
 def test_difference_identity():
-    f = make_field(3)
-    x = Word((1, 0, 2, 0, 1, 0))
-    y = Word((0, 0, 2, 1, 1, 2))
-    diff = Word(tuple(gf.sub(f, a, c) for a, c in zip(x.symbols, y.symbols)))
+    x = (1, 0, 2, 0, 1, 0)
+    y = (0, 0, 2, 1, 1, 2)
+    diff = tuple((a - c) % 3 for a, c in zip(x, y))      # x - y over F_3
     for b in range(1, 7):
         assert dist_b_oracle(x, y, b) == weight_b_oracle(diff, b)
 
@@ -300,9 +300,9 @@ def test_difference_identity():
 def test_saturation():
     # w_b = n iff no circular zero run of length >= b
     for mask in range(1, 2 ** 7):
-        w = Word(tuple((mask >> j) & 1 for j in range(7)))
+        w = tuple((mask >> j) & 1 for j in range(7))
         for b in range(1, 8):
-            flags = [s == 0 for s in w.symbols]
+            flags = [s == 0 for s in w]
             has_long_zero_run = any(
                 all(flags[(j + t) % 7] for t in range(b)) for j in range(7)
             )
@@ -319,7 +319,7 @@ def test_golden_bounds():
 def test_single_symbol_bounds_tight():
     for n in (5, 9):
         for b in range(2, n + 1):
-            w = Word(tuple(1 if j == 0 else 0 for j in range(n)))
+            w = tuple(1 if j == 0 else 0 for j in range(n))
             lower, upper, holds = check_bounds(w, b)
             assert holds and lower == b == weight_b_oracle(w, b)
 
@@ -335,6 +335,6 @@ def test_xminus1_bound_z3():
 
 def test_bounds_hypothesis_violated():
     with pytest.raises(HypothesisViolatedError):
-        check_bounds(Word((0, 0, 0)), 2)
+        check_bounds((0, 0, 0), 2)
     with pytest.raises(HypothesisViolatedError):
-        check_bounds(Word((1, 1, 1, 1)), 3)  # w_H > n - (b-1)
+        check_bounds((1, 1, 1, 1), 3)  # w_H > n - (b-1)

@@ -47,6 +47,10 @@ def test_pi_output(capsys):
     assert out.splitlines() == ["1,2", "2,3", "3,1"]
 
 
+def test_parse_generic_word_is_a_tuple():
+    assert cli.parse_generic_word("-1,0,5") == (-1, 0, 5)
+
+
 def test_pi_n_mismatch(capsys):
     code, _, err = run(capsys, "pi", "--n", "5", "--b", "2", "--word", "1,2,3")
     assert code == 1 and "usage error" in err
@@ -335,6 +339,17 @@ def test_table_error_writes_nothing(tmp_path, capsys, argv, fmt):
     code, _, _ = run(capsys, "table", "--p", "2", "--e", "3", *argv,
                      "--format", fmt, "--out", str(path))
     assert code == 1 and not path.exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_table_names_the_given_i_above_n(tmp_path, capsys, fmt):
+    argv = ["table", "--p", "2", "--e", "3", "--b", "2", "--i", "5..20",
+            "--format", fmt]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", "error: i=20 outside [0, 8]\n")
+    path = tmp_path / "t.out"
+    assert run(capsys, *argv, "--out", str(path))[0] == 1
+    assert not path.exists()
 
 
 def _table_peak_rss_mib(e: int) -> float:

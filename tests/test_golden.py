@@ -7,8 +7,8 @@ perfbench/recorded.json; 1,653 refills of the seeded streams), the
 CSV/JSON tables, the closed-form sweeps without brute force (up to length
 2^8192, and its last ten rows, where the index split is deepest), one
 brute-force row over F_9, one over a generator of degree 4080,
-and the three demos; any change to them is a change of output, not a
-refactoring.
+the word paths of `pi` and `dist`, and the three demos; any change to them
+is a change of output, not a refactoring.
 """
 
 import hashlib
@@ -23,6 +23,8 @@ ROOT = Path(__file__).resolve().parent.parent
 CLI = ["-m", "bsym.cli"]
 N = 2 ** 8192
 LAST_ROWS = f"{N - 9}..{N}"
+DIST = ["dist", "--b", "4", "--x", "0,0,1,3,0,5,0,0,0,2,0,7,0,0,0",
+        "--y", "0,0,0,0,0,0,0,0,0,0,0,0,0,0,0"]
 
 GOLDEN = [
     (CLI + ["verify", "--seed", "42", "--trials", "2000"],
@@ -56,6 +58,16 @@ GOLDEN = [
     (CLI + ["table", "--p", "2", "--e", "8192", "--b", "2..3", "--i", LAST_ROWS,
             "--no-brute", "--format", "csv"],
      "3114a884edd5d9250ef3892723e95688c2de43965b9bc7d87489eb606270b20d"),
+    (CLI + ["pi", "--b", "2", "--word", "1,2,3"],
+     "9ce21b567710ebe092009192e7a1209a43adc68a0279e5eeb7970cc87bdce2af"),
+    (CLI + ["pi", "--n", "3", "--b", "2", "--word=-1,0,5"],
+     "904ddd6d78831ba7fabaae7cd129eb0695483bcce9610f555b0739194c9cd08e"),
+    (CLI + DIST + ["--method", "both"],
+     "a42edfd71b1ddc5aa836cbb4eb4dc2bda3688d3495790f963399a405bde5e3d3"),
+    (CLI + DIST + ["--method", "formula"],
+     "1a252402972f6057fa53cc172b52b9ffca698e18311facd0f3b06ecaaef79e17"),
+    (CLI + DIST + ["--method", "oracle"],
+     "1a252402972f6057fa53cc172b52b9ffca698e18311facd0f3b06ecaaef79e17"),
     (["demos/code_distance_table.py"],
      "7d1c3936478ef71b9debca85acd8883dcc81a0c8350779f103a387553d4bad2e"),
     (["demos/run_partition_walkthrough.py"],
