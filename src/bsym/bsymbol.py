@@ -10,7 +10,9 @@ the "active" runs between the gaps.
 The formula reads only the gaps, which one finder computes; run_partition
 derives the active runs from them.  There are L active runs, except with no
 gap at all: then the one active run is the whole circle, every window holds a
-disagreement, and L = 0 gives d_b = n.  Indexing is uniformly 0-based.
+disagreement, and L = 0 gives d_b = n.  With fewer than b agreement
+positions no window can agree, and the formula returns n before looking for
+gaps.  Indexing is uniformly 0-based.
 
 A word is a tuple of symbols.  Symbols are only compared with == and != 0,
 so they may be field elements or any other values.
@@ -67,9 +69,15 @@ def _check_pair(x: tuple, y: tuple):
 
 def pi_b(x: tuple, b: int):
     """The n overlapping circular windows (x_j, ..., x_{j+b-1})."""
+    return list(windows_b(x, b))
+
+
+def windows_b(x: tuple, b: int):
+    """The windows of pi_b(x), built one at a time; the width is checked at
+    the call, before the first window."""
     n = len(x)
     _check_width(b, n)
-    return [tuple(x[(j + t) % n] for t in range(b)) for j in range(n)]
+    return (tuple(x[(j + t) % n] for t in range(b)) for j in range(n))
 
 
 def weight_b_oracle(x: tuple, b: int) -> int:
@@ -79,13 +87,13 @@ def weight_b_oracle(x: tuple, b: int) -> int:
 
 
 def _weight_oracle(s: tuple, b: int) -> int:
-    n = len(s)
+    # window j of pi_b(s) is s2[j:j+b] on the word extended by its first
+    # b - 1 symbols; its first symbol decides most windows without a slice
+    s2 = s + s[:b - 1]
     count = 0
-    for j in range(n):
-        for t in range(b):
-            if s[(j + t) % n] != 0:
-                count += 1
-                break
+    for j in range(len(s)):
+        if s2[j] != 0 or s2[j:j + b].count(0) != b:
+            count += 1
     return count
 
 
@@ -97,14 +105,13 @@ def dist_b_oracle(x: tuple, y: tuple, b: int) -> int:
 
 
 def _dist_oracle(xs: tuple, ys: tuple, b: int) -> int:
-    n = len(xs)
+    # compares window j of pi_b(xs) and pi_b(ys), as in _weight_oracle
+    xs2 = xs + xs[:b - 1]
+    ys2 = ys + ys[:b - 1]
     count = 0
-    for j in range(n):
-        for t in range(b):
-            k = (j + t) % n
-            if xs[k] != ys[k]:
-                count += 1
-                break
+    for j in range(len(xs)):
+        if xs2[j] != ys2[j] or xs2[j:j + b] != ys2[j:j + b]:
+            count += 1
     return count
 
 
@@ -167,13 +174,15 @@ def dist_b_formula(x: tuple, y: tuple, b: int) -> int:
 
 
 def _dist_formula(xs: tuple, ys: tuple, b: int) -> int:
-    if b == 1:
-        return sum(map(ne, xs, ys))
-    d_h, gaps = _gaps(xs, ys, b)
-    if not d_h:
-        return 0
+    d_h = sum(map(ne, xs, ys))
+    if b == 1 or not d_h:
+        return d_h
+    n = len(xs)
+    if n - d_h < b:
+        return n                 # fewer than b agreements: no window agrees
+    _, gaps = _gaps(xs, ys, b)
     # L = #gaps: with no gap, excess = n - d_h and the formula gives n
-    excess = len(xs) - sum(map(_length, gaps)) - d_h
+    excess = n - sum(map(_length, gaps)) - d_h
     return d_h + excess + len(gaps) * (b - 1)
 
 
@@ -194,7 +203,7 @@ def check_bounds(x: tuple, b: int):
 def _bounds(s: tuple, b: int, w_b: int):
     """The sandwich for the word s, whose b-weight scan w_b the caller made."""
     n = len(s)
-    w_h = sum(1 for v in s if v != 0)
+    w_h = n - s.count(0)
     if not (0 < w_h <= n - (b - 1)):
         raise HypothesisViolatedError(
             f"hamming weight {w_h} outside (0, {n - (b - 1)}]"

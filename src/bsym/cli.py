@@ -13,7 +13,7 @@ import sys
 from itertools import chain
 
 from . import codes, verify
-from .bsymbol import dist_b_formula, dist_b_oracle, pi_b
+from .bsymbol import dist_b_formula, dist_b_oracle, windows_b
 from .codes import CyclicCodeSpec, build_record, record_to_dict
 from .errors import BsymError, IndexOutOfRangeError, UsageError
 from .gf import make_field
@@ -115,8 +115,8 @@ def _cmd_pi(args) -> int:
     w = parse_generic_word(args.word)
     if args.n is not None and args.n != len(w):
         raise UsageError(f"--n {args.n} does not match word length {len(w)}")
-    for window in pi_b(w, args.b):
-        print(",".join(str(s) for s in window))
+    for window in windows_b(w, args.b):       # printed as built
+        print(",".join(map(str, window)))
     return 0
 
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+from operator import ne
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,9 @@ from hypothesis import strategies as st
 
 from bsym import gf
 from bsym.bsymbol import (
+    _dist_formula,
+    _dist_oracle,
+    _weight_oracle,
     check_bounds,
     dist_b_formula,
     dist_b_oracle,
@@ -14,6 +18,7 @@ from bsym.bsymbol import (
     run_partition,
     weight_b_formula,
     weight_b_oracle,
+    windows_b,
 )
 from bsym.errors import (
     HypothesisViolatedError,
@@ -59,6 +64,14 @@ def test_pi_full_wraparound():
 def test_pi_width_out_of_range():
     with pytest.raises(WidthOutOfRangeError):
         pi_b((1, 2, 3), 4)
+
+
+def test_windows_b_is_pi_b_one_window_at_a_time():
+    windows = windows_b(GOLDEN, 4)
+    assert next(windows) == (0, 0, 1, 3)
+    assert [(0, 0, 1, 3), *windows] == pi_b(GOLDEN, 4)
+    with pytest.raises(WidthOutOfRangeError):
+        windows_b((1, 2, 3), 4)          # at the call, before any window
 
 
 # --- weights --------------------------------------------------------------
@@ -245,6 +258,78 @@ def test_formula_oracle_random_q3(data):
     xs, ys, b = data
     x, y = tuple(xs), tuple(ys)
     assert dist_b_formula(x, y, b) == dist_b_oracle(x, y, b)
+
+
+def _binary_words(n):
+    return [tuple((mask >> j) & 1 for j in range(n)) for mask in range(2 ** n)]
+
+
+def test_oracles_are_the_window_definition_binary():
+    """Every binary pair with n <= 8 at every b: the oracles count the windows
+    j where pi_b(x)[j] != pi_b(y)[j], and the windows of pi_b(x) that are not
+    all zero."""
+    for n in range(1, 9):
+        words = _binary_words(n)
+        for b in range(1, n + 1):
+            windows = [pi_b(w, b) for w in words]
+            zero = (0,) * b
+            for x, wx in zip(words, windows):
+                assert _weight_oracle(x, b) == sum(u != zero for u in wx)
+                for y, wy in zip(words, windows):
+                    assert _dist_oracle(x, y, b) == sum(map(ne, wx, wy))
+
+
+def test_oracles_are_the_window_definition_seeded():
+    """Seeded q = 3, 4, 5 pairs with n <= 30 at every b up to n; half of the
+    pairs differ in at most three positions, so most windows agree on their
+    first symbol and the rest of the window decides."""
+    rng = random.Random(19)
+    for trial in range(300):
+        q = (3, 4, 5)[trial % 3]
+        n = rng.randrange(1, 31)
+        x = tuple(rng.randrange(q) for _ in range(n))
+        if trial % 2:
+            y = tuple(rng.randrange(q) for _ in range(n))
+        else:
+            y = list(x)
+            for j in rng.sample(range(n), min(n, rng.randrange(1, 4))):
+                y[j] = (y[j] + 1 + rng.randrange(q - 1)) % q
+            y = tuple(y)
+        for b in range(1, n + 1):
+            wx, wy = pi_b(x, b), pi_b(y, b)
+            assert _dist_oracle(x, y, b) == sum(map(ne, wx, wy))
+            assert _weight_oracle(x, b) == sum(u != (0,) * b for u in wx)
+            assert _weight_oracle(y, b) == sum(u != (0,) * b for u in wy)
+
+
+def _agreeing_at(x, positions, q=3):
+    """A word that agrees with x exactly at the given positions."""
+    return tuple(s if j in positions else (s + 1) % q for j, s in enumerate(x))
+
+
+def test_formula_no_gap_shortcut_boundary():
+    """Pairs with b - 2, b - 1 and b agreeing positions, in one run or split
+    into two runs.  Up to b - 1 agreements leave no window that agrees, so
+    d_b = n; b consecutive agreements make one window agree, so d_b = n - 1."""
+    rng = random.Random(7)
+    seen = 0
+    for n in range(3, 13):
+        for b in range(2, n + 1):
+            for a in (b - 2, b - 1, b):
+                if a < 0 or a > n - 2:
+                    continue
+                head = (a + 1) // 2
+                for positions, expected in (
+                    (set(range(a)), n - 1 if a == b else n),
+                    (set(range(head)) | set(range(head + 1, a + 1)), n),
+                ):
+                    x = tuple(rng.randrange(3) for _ in range(n))
+                    y = _agreeing_at(x, positions)
+                    assert sum(u == v for u, v in zip(x, y)) == a
+                    assert _dist_oracle(x, y, b) == expected
+                    assert _dist_formula(x, y, b) == expected
+                    seen += 1
+    assert seen > 300
 
 
 def test_metric_axioms_small():

@@ -352,13 +352,13 @@ def test_table_names_the_given_i_above_n(tmp_path, capsys, fmt):
     assert not path.exists()
 
 
-def _table_peak_rss_mib(e: int) -> float:
+def _peak_rss_mib(*argv: str) -> float:
+    """Peak RSS of a fresh `bsym` process, which must exit 0."""
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     env.pop("BSYM_CAP", None)
     proc = subprocess.Popen(
-        [sys.executable, "-m", "bsym.cli", "table", "--p", "2", "--e", str(e),
-         "--b", "2", "--no-brute", "--format", "csv"],
+        [sys.executable, "-m", "bsym.cli", *argv],
         env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
     )
     _, status, usage = os.wait4(proc.pid, 0)
@@ -369,7 +369,17 @@ def _table_peak_rss_mib(e: int) -> float:
 
 def test_table_rows_are_streamed():
     # 16x the rows from e = 12 to e = 16; a held list grew by about 48 MiB
-    assert _table_peak_rss_mib(16) < _table_peak_rss_mib(12) + 4
+    table = ("table", "--p", "2", "--b", "2", "--no-brute", "--format", "csv")
+    assert _peak_rss_mib(*table, "--e", "16") < _peak_rss_mib(*table, "--e", "12") + 4
+
+
+def test_pi_windows_are_streamed():
+    # 4000 windows of 4000 symbols: holding them all took about 138 MiB,
+    # against 16 MiB at b = 2.  A forked child's peak includes the RSS of
+    # this process at the fork, so the bound is relative to b = 2.
+    word = ",".join(str(j % 7) for j in range(4000))
+    wide = _peak_rss_mib("pi", "--word", word, "--b", "4000")
+    assert wide < _peak_rss_mib("pi", "--word", word, "--b", "2") + 24
 
 
 @pytest.mark.parametrize("argv", [
