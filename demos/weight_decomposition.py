@@ -15,16 +15,23 @@ from bsym.codes import lemma10_codeword, lemma10_weight
 from bsym.gf import make_field
 from bsym.polyring import poly, to_word
 
+
+def show(g):
+    """g as c0 + (c1)*x^1 + ..., skipping the zero terms."""
+    terms = [f"({c})*x^{j}" if j else str(c) for j, c in enumerate(g) if c]
+    return " + ".join(terms) or "0"
+
+
 f = make_field(3)
 e, k = 2, 1
 period = 3 ** (e - k)
 
 g = poly(f, [2, 1])  # x - 1 over F_3
 c_word = lemma10_codeword(f, e, k, g)
-print(f"g(x) = {g}")
+print(f"g(x) = {show(g)}")
 print(f"c(x) = (x-1)^{9 - 3} * g(x) as a word: {','.join(map(str, c_word))}")
 print(f"  -> three copies of the period-{period} block "
-      f"{','.join(map(str, to_word(g, period)))}\n")
+      f"{','.join(map(str, to_word(f, g, period)))}\n")
 
 for b in (2, 3):
     predicted = lemma10_weight(f, e, k, g, b)
@@ -43,5 +50,5 @@ for _ in range(5):
     predicted = lemma10_weight(f2, 3, k, g, b)
     actual = weight_b_oracle(lemma10_codeword(f2, 3, k, g), b)
     status = "ok" if predicted == actual else "MISMATCH"
-    print(f"  k={k} b={b} g=({g}):  predicted {predicted}, actual {actual}  "
+    print(f"  k={k} b={b} g=({show(g)}):  predicted {predicted}, actual {actual}  "
           f"[{status}]")

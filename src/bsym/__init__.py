@@ -27,12 +27,6 @@ from .codes import (
     min_b_weight_bruteforce,
 )
 from .gf import FieldParams, make_field
-from .polyring import (
-    Poly,
-    poly,
-    poly_mul,
-    to_word,
-    xminus1_pow,
-)
+from .polyring import poly, poly_mul, to_word, xminus1_pow
 
 __version__ = "0.1.0"

@@ -35,7 +35,7 @@ from .errors import (
     WidthTooLargeError,
 )
 from .gf import FieldParams
-from .polyring import Poly, poly_mul, to_word, xminus1_pow
+from .polyring import poly_mul, to_word, xminus1_pow
 
 DEFAULT_CAP = 2 ** 22
 MAX_LENGTH_BITS = 8192       # the largest code length is n = p^e <= 2^8192
@@ -91,7 +91,7 @@ class CyclicCodeSpec:
     def k_dim(self) -> int:
         return self.n - self.i
 
-    def generator(self) -> Poly:
+    def generator(self) -> tuple:
         return xminus1_pow(self.field, self.i)
 
 
@@ -174,7 +174,7 @@ def enumerate_codewords(spec: CyclicCodeSpec, cap: int | None = None):
     _refuse_above_cap(spec, cap)
     f = spec.field
     n = spec.n
-    gen_word = to_word(spec.generator(), n)
+    gen_word = to_word(f, spec.generator(), n)
     # precompute the cyclic shifts x^j * (x-1)^i as symbol tuples
     shifts = []
     for j in range(spec.k_dim):
@@ -246,7 +246,7 @@ def _gray_supports(spec: CyclicCodeSpec):
     nonzero_bias = ones * ((1 << (bits - 1)) - 1)
     reduce_bias = ones * ((1 << (bits - 1)) - p)
     row = 0
-    for t, sym in enumerate(to_word(spec.generator(), n)):
+    for t, sym in enumerate(to_word(spec.field, spec.generator(), n)):
         row |= sym << (bits * t)
     shifts = [
         ((row << bits * j) | (row >> span - bits * j)) & full
@@ -359,12 +359,20 @@ def sandwiches(spec: CyclicCodeSpec, b: int, d_h: int) -> list:
     return found
 
 
-def check_row(closed: ClosedFormResult, brute: int | None) -> list:
+def check_row(spec: CyclicCodeSpec, b: int, closed: ClosedFormResult,
+              brute: int | None) -> list:
     """Every claim one row can test, as (kind, expected, actual, holds).
 
     overlap: each further exact rule that fires gives the first one's value;
     rule: the exact value equals brute; interval: brute lies in the closed
-    interval; prop7, cor2: brute, or else the exact value, lies in the sandwich.
+    interval; prop7, cor2: brute, or else the exact value, lies in the sandwich;
+    singleton: brute, or else the exact value, is at most min(n, i + b).
+
+    The b-symbol Singleton bound: if two distinct codewords agreed on
+    n - d_b + b consecutive positions, n - d_b + 1 of their windows would
+    agree and they would differ in fewer than d_b windows.  So projecting
+    the code onto any n - d_b + b consecutive positions is injective, and
+    q^k <= q^(n - d_b + b); with k = n - i, d_b <= i + b.
     """
     checks = [
         ("overlap", [closed.rule, closed.value], [rule, value], value == closed.value)
@@ -379,15 +387,18 @@ def check_row(closed: ClosedFormResult, brute: int | None) -> list:
     if actual is not None:
         for source, (lo, hi) in closed.intervals:
             checks.append((source.lower(), [lo, hi], actual, lo <= actual <= hi))
+        bound = min(spec.n, spec.i + b)
+        checks.append(("singleton", bound, actual, actual <= bound))
     return checks
 
 
-def lemma10_weight(f: FieldParams, e: int, k: int, g: Poly, b: int) -> int:
+def lemma10_weight(f: FieldParams, e: int, k: int, g: tuple, b: int) -> int:
     """b-weight of c(x) = (x-1)^{p^e - p^{e-k}} g(x) from the b-weight of g.
 
-    c is the p^k-fold periodic repetition of g padded with zeta zeros up to
-    one period of length p^{e-k}, so its windows are the padded word's
-    windows repeated p^k times.  Requires 1 <= k <= e-1, g != 0,
+    g is a polynomial, a coefficient tuple with no trailing zeros (see
+    `polyring`).  c is the p^k-fold periodic repetition of g padded with zeta
+    zeros up to one period of length p^{e-k}, so its windows are the padded
+    word's windows repeated p^k times.  Requires 1 <= k <= e-1, g != 0,
     deg(g) < p^{e-k}, and b <= p^{e-k} (wider windows straddle more than one
     period and the decomposition no longer holds).
 
@@ -399,19 +410,19 @@ def lemma10_weight(f: FieldParams, e: int, k: int, g: Poly, b: int) -> int:
     """
     p = f.p
     if not (1 <= k <= e - 1):
-        raise ValueError(f"k={k} outside [1, {e - 1}]")
-    if g.is_zero():
-        raise ValueError("g must be nonzero")
-    d = g.degree
+        raise InvalidParameterError(f"k={k} outside [1, {e - 1}]")
+    if not g or g[-1] == 0:   # a tuple with trailing zeros would misstate deg(g)
+        raise InvalidParameterError(f"g={list(g)} must be nonzero, with no trailing zeros")
+    d = len(g) - 1
     period = p ** (e - k)
     n = p ** e
     if d >= period:
         raise DegreeTooLargeError(f"deg(g)={d} must be < {period}")
     if b > period:
         raise WidthTooLargeError(f"b={b} must be <= p^(e-k) = {period}")
-    w_b_g = weight_b_oracle(to_word(g, n), b)
+    w_b_g = weight_b_oracle(to_word(f, g, n), b)
     a = 0
-    while g.coeff(a) == 0:
+    while g[a] == 0:
         a += 1
     if d <= period - b or a >= b - period + d:
         return p ** k * w_b_g
@@ -419,11 +430,10 @@ def lemma10_weight(f: FieldParams, e: int, k: int, g: Poly, b: int) -> int:
     return p ** k * (w_b_g - (b - 1) + zeta + a)
 
 
-def lemma10_codeword(f: FieldParams, e: int, k: int, g: Poly) -> tuple:
+def lemma10_codeword(f: FieldParams, e: int, k: int, g: tuple) -> tuple:
     """The explicit word of (x-1)^{p^e - p^{e-k}} g(x) mod x^{p^e} - 1."""
     n = f.p ** e
-    c = poly_mul(xminus1_pow(f, n - f.p ** (e - k)), g)
-    return to_word(c, n)
+    return to_word(f, poly_mul(f, xminus1_pow(f, n - f.p ** (e - k)), g), n)
 
 
 def build_record(
@@ -436,7 +446,7 @@ def build_record(
     d_h = hamming_distance_formula(spec)
     closed = _closed_form(spec, b, d_h)
     brute = min_b_weight_bruteforce(spec, b, cap) if with_brute else None
-    return DistanceRecord(spec, b, d_h, closed, brute, check_row(closed, brute))
+    return DistanceRecord(spec, b, d_h, closed, brute, check_row(spec, b, closed, brute))
 
 
 def record_to_dict(rec: DistanceRecord) -> dict:

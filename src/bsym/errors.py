@@ -37,10 +37,6 @@ class NotAnElementError(BsymError, ValueError):
         self.value = value
 
 
-class FieldMismatchError(BsymError):
-    """Operands belong to different fields."""
-
-
 class WidthOutOfRangeError(BsymError):
     def __init__(self, b, n):
         super().__init__(f"read width b={b} out of range for length n={n}")

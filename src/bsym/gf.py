@@ -71,7 +71,8 @@ def is_prime(p: int) -> bool:
 # polynomial helpers over Z_p, on plain int lists (constant term first)
 # ---------------------------------------------------------------------------
 
-def _zp_trim(c):
+def _trim(c):
+    """Drop the trailing zeros of the coefficient list c, in place; return c."""
     while c and c[-1] == 0:
         c.pop()
     return c
@@ -79,15 +80,15 @@ def _zp_trim(c):
 
 def _zp_mod(a, b, p):
     """Remainder of a modulo monic-leading b over Z_p."""
-    a = _zp_trim(list(a))
-    b = _zp_trim(list(b))
+    a = _trim(list(a))
+    b = _trim(list(b))
     inv_lead = pow(b[-1], p - 2, p) if b[-1] != 1 else 1
     while len(a) >= len(b):
         coef = (a[-1] * inv_lead) % p
         shift = len(a) - len(b)
         for j, bj in enumerate(b):
             a[shift + j] = (a[shift + j] - coef * bj) % p
-        _zp_trim(a)
+        _trim(a)
     return a
 
 
@@ -114,7 +115,7 @@ def _zp_powmod(h, k, f, p):
 
 
 def _zp_gcd(a, b, p):
-    a, b = _zp_trim(list(a)), _zp_trim(list(b))
+    a, b = _trim(list(a)), _trim(list(b))
     while b:
         a, b = b, _zp_mod(a, b, p)
     return a
@@ -166,7 +167,7 @@ def make_field(p: int, m: int = 1, modulus=None) -> FieldParams:
         raise InvalidParameterError(
             f"field of {p}^{m} elements is above 2^{MAX_M}: m={m} is too large")
     if modulus is not None:
-        modulus = _zp_trim([int(c) % p for c in modulus])
+        modulus = _trim([int(c) % p for c in modulus])
         if len(modulus) != m + 1:
             raise InvalidParameterError(
                 f"modulus {modulus} has degree {len(modulus) - 1} mod {p}, not m={m}")

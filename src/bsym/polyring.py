@@ -1,93 +1,48 @@
 """Polynomials over F_{p^m} and words in the quotient ring mod x^n - 1.
 
-Coefficients and symbols are elements of F_{p^m} in the int encoding of
-:mod:`bsym.gf` (ints in range(q), zero is 0), stored constant term first
-everywhere, matching the vector convention used by the windowed-read metrics:
-a word is the tuple (x_0, ..., x_{n-1}) of its symbols, the polynomial
-x_0 + x_1 x + ... + x_{n-1} x^{n-1}.
+A polynomial is a plain tuple of its coefficients, elements of F_{p^m} in the
+int encoding of :mod:`bsym.gf` (ints in range(q), zero is 0), constant term
+first with no trailing zeros: its degree is len(a) - 1, and the zero
+polynomial is ().  A word is the tuple (x_0, ..., x_{n-1}) of its symbols,
+the polynomial x_0 + x_1 x + ... + x_{n-1} x^{n-1}, in the same order as the
+windowed-read metrics.  A tuple carries no field, so the functions that need
+field arithmetic take the field first, as gf.add(f, a, b) does.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
 from . import gf
-from .errors import FieldMismatchError, NotAnElementError
-from .gf import FieldParams
+from .errors import InvalidParameterError, NotAnElementError
+from .gf import FieldParams, _trim
 
 
-@dataclass(frozen=True)
-class Poly:
-    """Dense polynomial, no trailing zeros; the zero polynomial has no coeffs."""
-
-    field: FieldParams
-    coeffs: tuple  # ints in range(q), constant term first
-
-    @property
-    def degree(self):
-        """Degree, or None for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else None
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def coeff(self, j: int) -> int:
-        if 0 <= j < len(self.coeffs):
-            return self.coeffs[j]
-        return 0
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        terms = []
-        for j, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if j == 0:
-                terms.append(str(c))
-            else:
-                terms.append(f"({c})*x^{j}")
-        return " + ".join(terms)
-
-
-def _trimmed(f: FieldParams, coeffs: list) -> Poly:
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return Poly(f, tuple(coeffs))
-
-
-def poly(f: FieldParams, coeffs) -> Poly:
-    """Build a Poly from elements of f (ints in range(q)), trimming trailing zeros."""
+def poly(f: FieldParams, coeffs) -> tuple:
+    """The polynomial with these elements of f (ints in range(q)) as its
+    coefficients, trailing zeros trimmed."""
     coeffs = list(coeffs)
     for c in coeffs:
         if not (isinstance(c, int) and 0 <= c < f.q):
             raise NotAnElementError(c, f)
-    return _trimmed(f, coeffs)
+    return tuple(_trim(coeffs))
 
 
-def _check(a: Poly, b: Poly):
-    if a.field != b.field:
-        raise FieldMismatchError("polynomials over different fields")
-
-
-def poly_mul(a: Poly, b: Poly) -> Poly:
-    _check(a, b)
-    if a.is_zero() or b.is_zero():
-        return Poly(a.field, ())
-    f = a.field
-    out = [0] * (len(a.coeffs) + len(b.coeffs) - 1)
-    for i, x in enumerate(a.coeffs):
+def poly_mul(f: FieldParams, a: tuple, b: tuple) -> tuple:
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
         if x == 0:
             continue
-        for j, y in enumerate(b.coeffs):
+        for j, y in enumerate(b):
             out[i + j] = gf.add(f, out[i + j], gf.mul(f, x, y))
-    return _trimmed(f, out)
+    return tuple(_trim(out))
 
 
 @lru_cache(maxsize=256)
-def xminus1_pow(f: FieldParams, i: int) -> Poly:
+def xminus1_pow(f: FieldParams, i: int) -> tuple:
     """(x - 1)^i; cached, as every codeword of a lemma instance and every
     Gray walk starts from it.
 
@@ -98,7 +53,7 @@ def xminus1_pow(f: FieldParams, i: int) -> Poly:
     the product so far, padded to p^d coefficients, side by side.
     """
     if i < 0:
-        raise ValueError("exponent must be >= 0")
+        raise InvalidParameterError(f"exponent i={i} must be >= 0")
     p = f.p
     out, scale = [1], 1          # (x - 1)^(i mod scale), scale = p^d
     while i:
@@ -107,14 +62,12 @@ def xminus1_pow(f: FieldParams, i: int) -> Poly:
         out += [0] * (scale - len(out))
         out = [c * a % p for c in factor for a in out]
         scale *= p
-    return _trimmed(f, out)
+    return tuple(_trim(out))
 
 
-def to_word(a: Poly, n: int) -> tuple:
+def to_word(f: FieldParams, a: tuple, n: int) -> tuple:
     """Reduce a mod x^n - 1 and lay the coefficients out as a length-n word."""
-    f = a.field
     out = [0] * n
-    for j, c in enumerate(a.coeffs):
+    for j, c in enumerate(a):
         out[j % n] = gf.add(f, out[j % n], c)
     return tuple(out)
-

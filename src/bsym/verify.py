@@ -308,7 +308,7 @@ def run_code_suite(cfg: SuiteConfig) -> SuiteReport:
             else:
                 rep.count("rule_none")
             for kind, expected, actual, holds in rec.checks:   # see codes.check_row
-                if kind in ("overlap", "rule", "interval") and not holds:
+                if kind in ("overlap", "rule", "interval", "singleton") and not holds:
                     rep.fail(_inputs(spec, b=b, kind=kind), expected, actual)
             # nesting: C_{i} contains C_{i+1}, so d_b may only grow with i
             # (the zero code C_{p^e} is 0 by convention and is excluded)
@@ -339,11 +339,11 @@ def run_lemma_suite(cfg: SuiteConfig) -> SuiteReport:
             k, b, g = _random_lemma_instance(stream, f, e)
             predicted = codes.lemma10_weight(f, e, k, g, b)
             actual = weight_b_oracle(codes.lemma10_codeword(f, e, k, g), b)
-            case = "case2" if (g.degree > p ** (e - k) - b) else "case1"
+            case = "case2" if len(g) - 1 > p ** (e - k) - b else "case1"
             rep.count(f"p{p}e{e}_{case}")
             if predicted != actual:
                 rep.fail({"p": p, "e": e, "k": k, "b": b,
-                          "g": list(g.coeffs)},
+                          "g": list(g)},
                          actual, predicted)
     return rep
 

@@ -94,7 +94,7 @@ def test_periodic_word_weight():
 
 def test_xminus1_sq_weight_formula():
     f = make_field(3)
-    w = to_word(xminus1_pow(f, 2), 9)
+    w = to_word(f, xminus1_pow(f, 2), 9)
     assert weight_b_formula(w, 3) == 5
     assert weight_b_oracle(w, 3) == 5
 
@@ -411,7 +411,7 @@ def test_single_symbol_bounds_tight():
 
 def test_xminus1_bound_z3():
     f = make_field(3)
-    w = to_word(xminus1_pow(f, 1), 9)
+    w = to_word(f, xminus1_pow(f, 1), 9)
     lower, upper, holds = check_bounds(w, 2)
     assert (lower, upper) == (3, 4)
     assert weight_b_oracle(w, 2) == 3

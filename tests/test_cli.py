@@ -113,6 +113,17 @@ def test_table_json(capsys):
     assert all(r["consistent"] for r in rows)
 
 
+def test_table_no_brute_rows_meet_the_singleton_bound(capsys):
+    # without brute force an exact value is tested by the sandwiches and the
+    # b-symbol Singleton bound d_b <= min(n, i + b) alone
+    code, out, _ = run(capsys, "table", "--p", "3", "--e", "2", "--b", "2..4",
+                       "--no-brute", "--format", "json")
+    assert code == 0
+    rows = json.loads(out)
+    assert {r["db_rule"] for r in rows} >= {"Thm9", "Thm11"}
+    assert all(r["consistent"] for r in rows)
+
+
 def test_table_extension_field(capsys):
     code, out, _ = run(capsys, "table", "--p", "2", "--e", "2", "--m", "2",
                        "--modulus", "1,1,1", "--b", "2", "--format", "json")

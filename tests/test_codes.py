@@ -21,6 +21,7 @@ from bsym.codes import (
     thm11_decompositions,
 )
 from bsym.errors import (
+    BsymError,
     DegreeTooLargeError,
     EnumerationTooLargeError,
     IndexOutOfRangeError,
@@ -149,7 +150,7 @@ def test_enumerate_cap():
 
 def test_enumerated_words_are_multiples_of_generator():
     s = spec(Z3, 2, 6)
-    gen = to_word(s.generator(), 9)
+    gen = to_word(Z3, s.generator(), 9)
     # every codeword's poly must be divisible by (x-1)^6; check via weight:
     # the code is closed under addition, and contains the generator
     supports = {_support(w) for w in enumerate_codewords(s)}
@@ -420,7 +421,7 @@ def test_generator_weight_attainment():
     for f, e in [(Z3, 2), (Z2, 3), (Z5, 1)]:
         n = f.p ** e
         for i in range(n):
-            w = to_word(xminus1_pow(f, i), n)
+            w = to_word(f, xminus1_pow(f, i), n)
             for b in range(1, n - i + 1):
                 if i < f.p or i <= b:
                     assert weight_b_oracle(w, b) == i + b
@@ -432,7 +433,7 @@ def test_lemma10_case1_example():
     g = poly(Z3, [2, 1])  # x - 1
     assert lemma10_weight(Z3, 2, 1, g, 2) == 9
     # matches the direct weight of (x-1)^7
-    w = to_word(xminus1_pow(Z3, 7), 9)
+    w = to_word(Z3, xminus1_pow(Z3, 7), 9)
     assert weight_b_oracle(w, 2) == 9
 
 
@@ -455,6 +456,18 @@ def test_lemma10_errors():
         lemma10_weight(Z3, 2, 1, g3, 2)
     with pytest.raises(WidthTooLargeError):
         lemma10_weight(Z3, 2, 1, g, 4)  # b > p^{e-k} = 3
+
+
+def test_lemma10_bad_parameters_are_invalid_parameter_errors():
+    # (2, 1, 0) is not a polynomial: read as degree 2 it gave 6, not 9
+    g = poly(Z3, [2, 1])
+    for call in (lambda: lemma10_weight(Z3, 2, 0, g, 2),     # k outside 1..e-1
+                 lambda: lemma10_weight(Z3, 2, 2, g, 2),
+                 lambda: lemma10_weight(Z3, 2, 1, (), 2),    # g = 0
+                 lambda: lemma10_weight(Z3, 2, 1, (2, 1, 0), 3)):   # untrimmed
+        with pytest.raises(InvalidParameterError) as info:
+            call()
+        assert isinstance(info.value, BsymError) and isinstance(info.value, ValueError)
 
 
 def test_lemma10_exhaustive_small():
@@ -510,17 +523,46 @@ def test_check_row_kinds():
         ("overlap", ["Prop6", 2], ["Prop8_e1", 2], True),
         ("rule", 2, 2, True),
         ("cor2", [2, 2], 2, True),
+        ("singleton", 2, 2, True),
     ]
     rec = build_record(spec(Z3, 2, 4), 5)          # Cor2 interval row
-    assert rec.checks == [("interval", [7, 15], 9, True), ("cor2", [7, 15], 9, True)]
+    assert rec.checks == [("interval", [7, 15], 9, True), ("cor2", [7, 15], 9, True),
+                          ("singleton", 9, 9, True)]
 
 
 def test_check_row_without_brute_tests_the_exact_value():
     rec = build_record(spec(Z3, 2, 1), 2, with_brute=False)   # Thm9 gives 3
     assert rec.db_brute is None
-    assert rec.checks == [("prop7", [3, 4], 3, True), ("cor2", [3, 4], 3, True)]
+    assert rec.checks == [("prop7", [3, 4], 3, True), ("cor2", [3, 4], 3, True),
+                          ("singleton", 3, 3, True)]
     # an interval row has no value to test without brute force
     assert build_record(spec(Z3, 2, 4), 5, with_brute=False).checks == []
+
+
+def test_singleton_claim_fails_above_i_plus_b():
+    # C_1 of length 9 over F_3 at b = 2: d_b <= min(9, 1 + 2) = 3
+    s = spec(Z3, 2, 1)
+    above = codes.ClosedFormResult([("Thm9", 4)], [])
+    assert codes.check_row(s, 2, above, None) == [("singleton", 3, 4, False)]
+    assert codes.check_row(s, 2, above, 4)[-1] == ("singleton", 3, 4, False)
+    # the bound is n when i + b passes it
+    assert codes.check_row(spec(Z3, 2, 8), 3, above, 9) == [
+        ("rule", 9, 4, False), ("singleton", 9, 9, True)]
+
+
+def test_thm9_and_prop8_e1_rows_are_b_symbol_mds():
+    """Thm9 and Prop8_e1 give i + b with i + b <= n: the Singleton bound
+    holds with equality, so every row they decide is b-symbol MDS."""
+    decided = Counter()
+    for p, e in [(2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (5, 1), (7, 1)]:
+        f = make_field(p)
+        for i in range(p ** e + 1):
+            for b in range(2, p ** e + 1):
+                rec = build_record(spec(f, e, i), b, with_brute=False)
+                if rec.db_closed.rule in ("Thm9", "Prop8_e1"):
+                    assert ("singleton", i + b, i + b, True) in rec.checks, (p, e, i, b)
+                    decided[rec.db_closed.rule] += 1
+    assert decided["Thm9"] > 100 and decided["Prop8_e1"] > 10, decided
 
 
 def test_disagreeing_rules_fail_the_overlap_check(monkeypatch):

@@ -6,14 +6,12 @@ import pytest
 
 from bsym import gf
 from bsym.errors import (
-    FieldMismatchError,
     InvalidParameterError,
     NoDefaultModulusError,
     NonPrimeError,
     NotIrreducibleError,
 )
 from bsym.gf import make_field
-from bsym.polyring import poly, poly_mul
 
 SMALL_FIELDS = [make_field(2), make_field(3), make_field(5), make_field(7),
                 make_field(2, 2), make_field(2, 3), make_field(3, 2)]
@@ -213,14 +211,6 @@ def test_zero_has_no_inverse(f):
 def test_make_field_rejects_degree_zero():
     with pytest.raises(InvalidParameterError):
         make_field(3, 0)
-
-
-def test_field_mismatch():
-    # elements carry no field; mixing fields is caught at the polynomial level
-    with pytest.raises(FieldMismatchError):
-        poly_mul(poly(make_field(2), [1]), poly(make_field(3), [1]))
-    with pytest.raises(FieldMismatchError):
-        poly_mul(poly(make_field(2, 2), [1]), poly(make_field(2), [1]))
 
 
 def test_enumerate_z3():

@@ -155,6 +155,24 @@ def test_code_suite_reports_disagreeing_rules(monkeypatch):
             "expected": ["Thm9", 3], "actual": ["Thm11", 6]} in rep.failures
 
 
+def test_code_suite_reports_a_broken_singleton_claim_without_counting_it(monkeypatch):
+    """A brute minimum above min(n, i + b) fails the code suite, and the
+    claim adds no coverage key and no case, so the JSON of a passing run
+    does not move."""
+    _one_code_grid(monkeypatch)
+    clean = verify.run_code_suite(SuiteConfig())
+    real = codes.min_b_weight_bruteforce
+    monkeypatch.setattr(codes, "min_b_weight_bruteforce",
+                        lambda s, b, cap=None: s.n + 1 if 1 < b and s.i < s.n
+                        else real(s, b, cap))
+    rep = verify.run_code_suite(SuiteConfig())
+    assert (rep.cases, rep.coverage) == (clean.cases, clean.coverage)
+    singleton = [f for f in rep.failures if f["inputs"]["kind"] == "singleton"]
+    assert len(singleton) == 9
+    assert {"inputs": {"p": 3, "e": 2, "m": 1, "i": 0, "b": 2, "kind": "singleton"},
+            "expected": 2, "actual": 10} in singleton
+
+
 def test_bounds_suite_reports_a_wrong_cor2(monkeypatch):
     monkeypatch.setattr(codes, "sandwiches",
                         lambda s, b, d_h: [("Cor2", (s.n + 1, s.n + 1))])
