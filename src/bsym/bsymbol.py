@@ -1,11 +1,11 @@
 """Windowed (b-symbol) read vectors, weights, and distances.
 
-Two routes are provided for every metric: the definitional one, which scans
-all n circular windows (the oracle), and the run-partition formula
-d_b(x, y) = d_H(x, y) + e + L*(b - 1).  The gaps are the maximal circular
-agreement runs of length >= b - 1; L counts them, and e = n - (sum of the gap
-lengths) - d_H counts the agreement positions outside them, trapped inside
-the "active" runs between the gaps.
+Two routes are provided for every metric: the oracle, which counts the n
+circular windows that hold a nonzero symbol or a disagreement, and the
+run-partition formula d_b(x, y) = d_H(x, y) + e + L*(b - 1).  The gaps are
+the maximal circular agreement runs of length >= b - 1; L counts them, and
+e = n - (sum of the gap lengths) - d_H counts the agreement positions
+outside them, trapped inside the "active" runs between the gaps.
 
 The formula reads only the gaps, which one finder computes; run_partition
 derives the active runs from them.  There are L active runs, except with no
@@ -14,15 +14,15 @@ disagreement, and L = 0 gives d_b = n.  With fewer than b agreement
 positions no window can agree, and the formula returns n before looking for
 gaps.  Indexing is uniformly 0-based.
 
-A word is a tuple of symbols.  Symbols are only compared with == and != 0,
-so they may be field elements or any other values.
+A word is a tuple of int symbols, or bytes in verify's seeded words.  Symbols
+are only compared with == and != and tested for zero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
-from operator import itemgetter, ne
+from operator import itemgetter, ne, truth
 
 from .errors import (
     HypothesisViolatedError,
@@ -59,7 +59,7 @@ _length = itemgetter(1)        # of a (start, length) pair
 
 def _check_width(b: int, n: int, lo: int = 1):
     if not (lo <= b <= n):
-        raise WidthOutOfRangeError(b, n)
+        raise WidthOutOfRangeError(b, n, lo)
 
 
 def _check_pair(x: tuple, y: tuple):
@@ -87,32 +87,31 @@ def weight_b_oracle(x: tuple, b: int) -> int:
 
 
 def _weight_oracle(s: tuple, b: int) -> int:
-    # window j of pi_b(s) is s2[j:j+b] on the word extended by its first
-    # b - 1 symbols; its first symbol decides most windows without a slice
-    s2 = s + s[:b - 1]
-    count = 0
-    for j in range(len(s)):
-        if s2[j] != 0 or s2[j:j + b].count(0) != b:
-            count += 1
-    return count
+    return _marked_windows(bytes(map(truth, s)), b)
 
 
 def dist_b_oracle(x: tuple, y: tuple, b: int) -> int:
-    """Hamming distance between the two window sequences, by direct scan."""
+    """Hamming distance between the two window sequences pi_b(x), pi_b(y)."""
     _check_pair(x, y)
     _check_width(b, len(x))
     return _dist_oracle(x, y, b)
 
 
 def _dist_oracle(xs: tuple, ys: tuple, b: int) -> int:
-    # compares window j of pi_b(xs) and pi_b(ys), as in _weight_oracle
-    xs2 = xs + xs[:b - 1]
-    ys2 = ys + ys[:b - 1]
-    count = 0
-    for j in range(len(xs)):
-        if xs2[j] != ys2[j] or xs2[j:j + b] != ys2[j:j + b]:
-            count += 1
-    return count
+    return _marked_windows(bytes(map(ne, xs, ys)), b)
+
+
+def _marked_windows(mark: bytes, b: int) -> int:
+    """The windows j with a marked position among j, ..., j+b-1 (mod n), for a
+    mark of one byte (0 or 1) per position: shifts that double the covered
+    span OR into byte j of an int that holds the mark twice, for wrap-around."""
+    acc = int.from_bytes(mark + mark, "little")
+    span = 1                     # acc ORs shifts 0 .. span-1
+    while span <= b // 2:
+        acc |= acc >> (8 * span)
+        span *= 2
+    acc |= acc >> (8 * (b - span))   # b - span < span: now shifts 0 .. b-1
+    return (acc & ((1 << 8 * len(mark)) - 1)).bit_count()
 
 
 def _gaps(xs: tuple, ys: tuple, b: int):

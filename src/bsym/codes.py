@@ -306,7 +306,7 @@ def min_b_weight_bruteforce(
     cap = enumeration_cap() if cap is None else cap
     n = spec.n
     if not (1 <= b <= n):
-        raise WidthOutOfRangeError(b, n)
+        raise WidthOutOfRangeError(b, n, 1)
     if spec.i == spec.n:
         return 0
     _refuse_above_cap(spec, cap)
@@ -335,7 +335,7 @@ def closed_form_db(spec: CyclicCodeSpec, b: int) -> ClosedFormResult:
 def _closed_form(spec: CyclicCodeSpec, b: int, d_h: int) -> ClosedFormResult:
     p, e, i, n = spec.p, spec.e, spec.i, spec.n
     if not (2 <= b <= n):
-        raise WidthOutOfRangeError(b, n)
+        raise WidthOutOfRangeError(b, n, 2)
     exact = []  # (rule, value), in precedence order
     if i == n:
         exact.append(("ZeroCode", 0))

@@ -38,10 +38,11 @@ class NotAnElementError(BsymError, ValueError):
 
 
 class WidthOutOfRangeError(BsymError):
-    def __init__(self, b, n):
-        super().__init__(f"read width b={b} out of range for length n={n}")
+    def __init__(self, b, n, lo):
+        super().__init__(f"read width b={b} outside {lo}..{n} for length n={n}")
         self.b = b
         self.n = n
+        self.lo = lo
 
 
 class LengthMismatchError(BsymError):

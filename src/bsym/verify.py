@@ -163,7 +163,7 @@ class _Stream:
             q = qs[randrange(len(qs))]   (an int qs is q itself, with no draw)
             n = n_lo + randrange(n_span)
             b = 2 + randrange(n - 1)
-        then `count` words of n values of randrange(q), as one flat tuple.
+        then `count` words of n values of randrange(q), as one bytes string.
 
         The shape is checked and its shifts worked out once, before the first
         trial.  The header is read off the top bytes and the words off the
@@ -210,7 +210,7 @@ class _Stream:
                 end, short = end + short, mapped.count(255, end, end + short)
             if end <= len(mapped):
                 self._pos = end
-                yield q, n, b, tuple(mapped[pos:end].replace(b"\xff", b""))
+                yield q, n, b, mapped[pos:end].replace(b"\xff", b"")
             else:
                 self._refill()
 

@@ -302,6 +302,34 @@ def test_oracles_are_the_window_definition_seeded():
             assert _weight_oracle(y, b) == sum(u != (0,) * b for u in wy)
 
 
+def _sparse_word(rng, n, marks, q=3):
+    """Zeros but for nonzero symbols at `marks` random positions, one of
+    them near each end of the word, so windows that wrap around hold one."""
+    x = [0] * n
+    for j in rng.sample(range(64, n - 64), marks) + [rng.randrange(64),
+                                                     n - 1 - rng.randrange(64)]:
+        x[j] = 1 + rng.randrange(q - 1)
+    return tuple(x)
+
+
+def test_oracles_are_the_window_definition_at_large_n():
+    """Sparse seeded words of length 4096, so that most wide windows are all
+    zero or agree: the oracles count what windows_b gives, at widths on each
+    side of a power of two and at n."""
+    rng = random.Random(4096)
+    n = 4096
+    x = _sparse_word(rng, n, 10)
+    y = tuple(s ^ z for s, z in zip(x, _sparse_word(rng, n, 6)))
+    for b in (1, 2, 255, 256, 257, n):
+        zero = (0,) * b
+        wx = wy = d = 0
+        for u, v in zip(windows_b(x, b), windows_b(y, b)):
+            wx, wy, d = wx + (u != zero), wy + (v != zero), d + (u != v)
+        assert (weight_b_oracle(x, b), weight_b_oracle(y, b)) == (wx, wy), b
+        assert dist_b_oracle(x, y, b) == dist_b_oracle(bytes(x), bytes(y), b) == d, b
+        assert 0 < d < n or b == n
+
+
 def _agreeing_at(x, positions, q=3):
     """A word that agrees with x exactly at the given positions."""
     return tuple(s if j in positions else (s + 1) % q for j, s in enumerate(x))

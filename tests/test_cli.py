@@ -438,3 +438,15 @@ def test_argument_errors_are_one_line(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert err.count("\n") == 1 and err.startswith("usage error: bsym")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["code", "--p", "2", "--e", "2", "--i", "1", "--b", "1"], "b=1 outside 2..4"),
+    (["code", "--p", "2", "--e", "2", "--i", "1", "--b", "5"], "b=5 outside 2..4"),
+    (["dist", "--b", "0", "--x", "1,0", "--y", "0,0"], "b=0 outside 1..2"),
+])
+def test_width_errors_name_the_allowed_range(capsys, argv, message):
+    """A code row needs 2 <= b <= n, a word's read 1 <= b <= n."""
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and message in err

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from bsym import bsymbol, codes, verify
+from bsym import bsymbol, cli, codes, verify
 from bsym.errors import InvalidParameterError
 from bsym.verify import SuiteConfig, report_json, run_suites
 
@@ -183,11 +183,47 @@ def test_bounds_suite_reports_a_wrong_cor2(monkeypatch):
     assert rep.coverage["cor2"] == 10 and "prop7" not in rep.coverage
 
 
+def _off_by_one(mp):
+    """A formula core one too high and a sandwich handed a b-weight scan one
+    too low, on a small formula sweep and the one-code grid."""
+    formula, bounds = verify._dist_formula, verify._bounds
+    mp.setattr(verify, "_dist_formula", lambda xs, ys, b: formula(xs, ys, b) + 1)
+    mp.setattr(verify, "_bounds", lambda s, b, w_b: bounds(s, b, w_b - 1))
+    mp.setattr(SuiteConfig, "exhaustive_n_max", 4)
+    _one_code_grid(mp)
+
+
+def test_failures_of_byte_words_are_int_lists(monkeypatch):
+    """The seeded words are bytes; every failure lists them as ints, so the
+    report is JSON."""
+    _off_by_one(monkeypatch)
+    cfg = SuiteConfig(seed=7, trials=50)
+    reports = {"formula": verify.run_formula_suite(cfg),
+               "bounds": verify.run_bounds_suite(cfg)}
+    payload = json.loads(report_json(reports))
+    words = [f["inputs"][key] for rep in payload.values() for f in rep["failures"]
+             for key in ("x", "y") if key in f["inputs"]]
+    assert {rep["passed"] for rep in payload.values()} == {False}
+    assert {key for f in payload["bounds"]["failures"] for key in f["inputs"]} >= {"x"}
+    assert len(words) > 50
+    assert all(type(w) is list and all(type(v) is int for v in w) for w in words)
+
+
+@pytest.mark.parametrize("suite", ["formula", "bounds"])
+def test_verify_exits_2_on_failures_of_byte_words(monkeypatch, capsys, suite):
+    _off_by_one(monkeypatch)
+    code = cli.main(["verify", "--suite", suite, "--seed", "7", "--trials", "50"])
+    out, err = capsys.readouterr()
+    assert code == 2 and err == ""
+    assert json.loads(out)[suite]["passed"] is False
+
+
 def _draw_both(stream, ref, plan, readers):
     """Run `plan` on the stream and on plain randrange calls of `ref`; each
     step is ("below", k) or ("trial", qs, n_lo, n_span, count).  A trial is
     read off `readers[step]`, a live _Stream.trials generator of that shape,
-    so one reader's trials interleave with `below` and other readers."""
+    so one reader's trials interleave with `below` and other readers; its
+    words are one bytes string of the randrange values."""
     for step in plan:
         if step[0] == "below":
             k = step[1]
@@ -197,10 +233,12 @@ def _draw_both(stream, ref, plan, readers):
             q = qs if isinstance(qs, int) else qs[ref.randrange(len(qs))]
             n = n_lo + ref.randrange(n_span)
             b = 2 + ref.randrange(n - 1)
-            symbols = tuple(ref.randrange(q) for _ in range(n * count))
+            symbols = bytes(ref.randrange(q) for _ in range(n * count))
             if step not in readers:
                 readers[step] = stream.trials(qs, n_lo, n_span, count)
-            assert next(readers[step]) == (q, n, b, symbols), step
+            trial = next(readers[step])
+            assert type(trial[3]) is bytes, step
+            assert trial == (q, n, b, symbols), step
 
 
 def _assert_same_state(stream, seed, ref):
