@@ -1,21 +1,20 @@
 """Windowed (b-symbol) read vectors, weights, and distances.
 
-Two routes are provided for every metric: the oracle, which counts the n
-circular windows that hold a nonzero symbol or a disagreement, and the
-run-partition formula d_b(x, y) = d_H(x, y) + e + L*(b - 1).  The gaps are
-the maximal circular agreement runs of length >= b - 1; L counts them, and
-e = n - (sum of the gap lengths) - d_H counts the agreement positions
-outside them, trapped inside the "active" runs between the gaps.
+Two routes are provided for every metric.  The run-partition formula is
+d_b(x, y) = d_H(x, y) + e + L*(b - 1): the gaps are the maximal circular
+agreement runs of length >= b - 1, L counts them, and e = n - (sum of the
+gap lengths) - d_H counts the agreement positions outside them, inside the
+L "active" runs between the gaps, which run_partition derives.  With no gap
+the one active run is the whole circle and L = 0 gives d_b = n; with fewer
+than b agreements no window agrees, and the formula returns n at once.
 
-The formula reads only the gaps, which one finder computes; run_partition
-derives the active runs from them.  There are L active runs, except with no
-gap at all: then the one active run is the whole circle, every window holds a
-disagreement, and L = 0 gives d_b = n.  With fewer than b agreement
-positions no window can agree, and the formula returns n before looking for
-gaps.  Indexing is uniformly 0-based.
-
-A word is a tuple of int symbols, or bytes in verify's seeded words.  Symbols
-are only compared with == and != and tested for zero.
+The oracle counts the windows that hold a nonzero symbol or a disagreement.
+It reads a word as an int with a byte lane per position (a pair: the XOR of
+two), so lane v is nonzero where a position counts; ((v & 0x7F) + 0x7F) | v
+sets v's high bit exactly when v != 0, and no carry leaves the lane, as
+(v & 0x7F) + 0x7F <= 0xFE.  A symbol outside 0..255 (or not an int) makes
+int.from_bytes refuse the word, and a 0/1 mark byte per position from != (or
+truth) stands in.  Words are int tuples, or bytes in verify's seeded words.
 """
 
 from __future__ import annotations
@@ -55,6 +54,7 @@ class RunPartition:
 
 
 _length = itemgetter(1)        # of a (start, length) pair
+_LANES = {}    # n -> 0x7F and 0x80 in each of n byte lanes, for <= 64 lengths
 
 
 def _check_width(b: int, n: int, lo: int = 1):
@@ -87,7 +87,11 @@ def weight_b_oracle(x: tuple, b: int) -> int:
 
 
 def _weight_oracle(s: tuple, b: int) -> int:
-    return _marked_windows(bytes(map(truth, s)), b)
+    try:
+        d = int.from_bytes(s, "little")
+    except (ValueError, TypeError):  # a symbol outside 0..255, or not an int
+        d = int.from_bytes(bytes(map(truth, s)), "little")
+    return _marked_windows(d, len(s), b)
 
 
 def dist_b_oracle(x: tuple, y: tuple, b: int) -> int:
@@ -98,20 +102,31 @@ def dist_b_oracle(x: tuple, y: tuple, b: int) -> int:
 
 
 def _dist_oracle(xs: tuple, ys: tuple, b: int) -> int:
-    return _marked_windows(bytes(map(ne, xs, ys)), b)
+    try:
+        d = int.from_bytes(xs, "little") ^ int.from_bytes(ys, "little")
+    except (ValueError, TypeError):  # a symbol outside 0..255, or not an int
+        d = int.from_bytes(bytes(map(ne, xs, ys)), "little")
+    return _marked_windows(d, len(xs), b)
 
 
-def _marked_windows(mark: bytes, b: int) -> int:
-    """The windows j with a marked position among j, ..., j+b-1 (mod n), for a
-    mark of one byte (0 or 1) per position: shifts that double the covered
-    span OR into byte j of an int that holds the mark twice, for wrap-around."""
-    acc = int.from_bytes(mark + mark, "little")
+def _marked_windows(d: int, n: int, b: int) -> int:
+    """The windows j with a marked position among j, ..., j+b-1 (mod n), for
+    an int d whose byte lane j is nonzero where position j is marked."""
+    try:
+        lo, hi = _LANES[n]
+    except KeyError:
+        if len(_LANES) == 64:
+            _LANES.clear()
+        hi = int.from_bytes(b"\x80" * n, "little")
+        lo, hi = _LANES[n] = hi - (hi >> 7), hi
+    m = (((d & lo) + lo) | d) & hi
+    acc = m | m << 8 * n         # twice, for the windows that wrap around
     span = 1                     # acc ORs shifts 0 .. span-1
     while span <= b // 2:
         acc |= acc >> (8 * span)
         span *= 2
     acc |= acc >> (8 * (b - span))   # b - span < span: now shifts 0 .. b-1
-    return (acc & ((1 << 8 * len(mark)) - 1)).bit_count()
+    return (acc & hi).bit_count()
 
 
 def _gaps(xs: tuple, ys: tuple, b: int):

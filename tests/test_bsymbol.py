@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from bsym import gf
 from bsym.bsymbol import (
+    _LANES,
     _dist_formula,
     _dist_oracle,
     _weight_oracle,
@@ -328,6 +329,93 @@ def test_oracles_are_the_window_definition_at_large_n():
         assert (weight_b_oracle(x, b), weight_b_oracle(y, b)) == (wx, wy), b
         assert dist_b_oracle(x, y, b) == dist_b_oracle(bytes(x), bytes(y), b) == d, b
         assert 0 < d < n or b == n
+
+
+_BYTE_EDGES = (0, 1, 127, 128, 129, 255)
+
+
+def _window_counts(x, y, b):
+    """(w_b(x), w_b(y), d_b(x, y)) counted over windows_b."""
+    zero = (0,) * b
+    wx, wy = list(windows_b(x, b)), list(windows_b(y, b))
+    return (sum(u != zero for u in wx), sum(v != zero for v in wy),
+            sum(map(ne, wx, wy)))
+
+
+def _assert_oracles_count_windows(x, y):
+    """Both oracles, on tuples and on bytes, at every b."""
+    for b in range(1, len(x) + 1):
+        expected = _window_counts(x, y, b)
+        for u, v in ((x, y), (bytes(x), bytes(y))):
+            got = _weight_oracle(u, b), _weight_oracle(v, b), _dist_oracle(u, v, b)
+            assert got == expected, (x, y, b)
+
+
+def test_oracles_read_every_byte_value():
+    """Words over 0, 1, 127, 128, 129 and 255, the values on each side of a
+    byte lane's high bit: a lane of 0x80 alone, or 0xFF next to a zero lane
+    (a carry out of it would mark its neighbour), must count as the windows
+    do.  Every pair with n <= 3, then seeded pairs with n <= 40."""
+    for n in range(1, 4):
+        words = list(itertools.product(_BYTE_EDGES, repeat=n))
+        for b in range(1, n + 1):
+            windows = [pi_b(w, b) for w in words]
+            zero = (0,) * b
+            for x, wx in zip(words, windows):
+                expected = sum(u != zero for u in wx)
+                assert _weight_oracle(x, b) == _weight_oracle(bytes(x), b) == expected
+                for y, wy in zip(words, windows):
+                    expected = sum(map(ne, wx, wy))
+                    assert _dist_oracle(x, y, b) == expected, (x, y, b)
+                    assert _dist_oracle(bytes(x), bytes(y), b) == expected, (x, y, b)
+    rng = random.Random(23)
+    for _ in range(2000):
+        n = rng.randrange(1, 41)
+        x = tuple(rng.choice(_BYTE_EDGES) for _ in range(n))
+        if rng.randrange(2):         # a near-copy: most lanes of the XOR are 0
+            y = list(x)
+            y[rng.randrange(n)] = rng.choice(_BYTE_EDGES)
+            y = tuple(y)
+        else:
+            y = tuple(rng.choice(_BYTE_EDGES) for _ in range(n))
+        _assert_oracles_count_windows(x, y)
+
+
+@pytest.mark.parametrize("x,y", [
+    ((300, 2, 0), (-1, 2, 0)),
+    ((300, 0, 0, 0, 7), (44, 0, 0, 0, 7)),           # equal low bytes
+    ((-1, 0, 0, 0), (255, 0, 0, 0)),                 # equal two's complement byte
+    ((256, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0)),      # low byte 0
+    ((2 ** 64 + 1, 0, 5, 0, 0), (1, 0, 5, 0, 0)),
+    ((0, 0, 300, 0, 1, 0), (0, 0, 300, 0, 0, 0)),    # a wide symbol on both, equal
+    ((-1, 128, 0, 2 ** 64 + 1), (-1, 0, 0, 2 ** 64 + 1)),
+    ((0, 0, 0, 0, 0, 256), (0, 0, 0, 0, 0, 256)),
+])
+def test_oracles_fall_back_to_marks_past_one_byte(x, y):
+    """A symbol outside 0..255 in either word: int.from_bytes refuses the word
+    and the oracles mark each position by comparing symbols, so a symbol that
+    shares its low byte with another still differs from it."""
+    for b in range(1, len(x) + 1):
+        wx, wy, d = _window_counts(x, y, b)
+        assert (weight_b_oracle(x, b), weight_b_oracle(y, b)) == (wx, wy), b
+        assert dist_b_oracle(x, y, b) == dist_b_oracle(y, x, b) == d, b
+        assert dist_b_formula(x, y, b) == d, b
+
+
+def test_oracles_take_symbols_that_are_not_ints():
+    x, y = ("a", "", "b", "", ""), ("a", "c", "", "", "")
+    for b in range(1, 6):
+        wx = sum(any(u) for u in windows_b(x, b))
+        assert weight_b_oracle(x, b) == wx
+        assert dist_b_oracle(x, y, b) == sum(map(ne, windows_b(x, b), windows_b(y, b)))
+
+
+def test_lane_masks_are_kept_for_at_most_64_lengths():
+    x = (0, 200, 0)
+    for n in range(1, 200):
+        word = x + (0,) * (n - 1)
+        assert weight_b_oracle(word, 2) == 2 and len(_LANES) <= 64
+    assert weight_b_oracle(x, 2) == 2 and dist_b_oracle(x, (0, 0, 0), 3) == 3
 
 
 def _agreeing_at(x, positions, q=3):

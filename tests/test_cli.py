@@ -450,3 +450,16 @@ def test_width_errors_name_the_allowed_range(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert err.count("\n") == 1 and message in err
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["--b", "2", "--x", "300,2,0", "--y=-1,2,0"], "formula=2 oracle=2 match=true\n"),
+    (["--b", "3", "--x", "128,0,0,0,0", "--y", "0,0,0,0,0"],
+     "formula=3 oracle=3 match=true\n"),
+])
+def test_dist_of_symbols_outside_a_byte(capsys, argv, expected):
+    """300 and -1 are outside a byte lane, so the oracle marks positions by
+    comparing symbols; 128 alone fills only a lane's high bit.  A word that
+    starts with a minus sign is given as --y=..., since argparse would read
+    --y -1,2,0 as an option."""
+    assert run(capsys, "dist", *argv) == (0, expected, "")
