@@ -8,13 +8,17 @@ L "active" runs between the gaps, which run_partition derives.  With no gap
 the one active run is the whole circle and L = 0 gives d_b = n; with fewer
 than b agreements no window agrees, and the formula returns n at once.
 
-The oracle counts the windows that hold a nonzero symbol or a disagreement.
-It reads a word as an int with a byte lane per position (a pair: the XOR of
-two), so lane v is nonzero where a position counts; ((v & 0x7F) + 0x7F) | v
-sets v's high bit exactly when v != 0, and no carry leaves the lane, as
-(v & 0x7F) + 0x7F <= 0xFE.  A symbol outside 0..255 (or not an int) makes
-int.from_bytes refuse the word, and a 0/1 mark byte per position from != (or
-truth) stands in.  Words are int tuples, or bytes in verify's seeded words.
+The oracle counts the windows that hold a nonzero symbol or a disagreement,
+as n less the windows that hold none.  It reads a word as an int with a byte
+lane per position (a pair: the XOR of two), so lane v is nonzero where a
+position is marked; ((v & 0x7F) + 0x7F) | v sets v's high bit exactly when
+v != 0, and no carry leaves the lane, as (v & 0x7F) + 0x7F <= 0xFE, so its
+complement keeps the high bit of each unmarked lane.  ANDing those bits with
+their shifts leaves one set bit per window with no mark; once the AND is 0 no
+such window is left, and all n count.  A symbol outside 0..255 (or not an
+int) makes int.from_bytes refuse the word, and a 0/1 mark byte per position
+from != (or truth) stands in.  Words are int tuples, or bytes in verify's
+seeded words and binary sweep.
 """
 
 from __future__ import annotations
@@ -111,7 +115,16 @@ def _dist_oracle(xs: tuple, ys: tuple, b: int) -> int:
 
 def _marked_windows(d: int, n: int, b: int) -> int:
     """The windows j with a marked position among j, ..., j+b-1 (mod n), for
-    an int d whose byte lane j is nonzero where position j is marked."""
+    an int d whose byte lane j is nonzero where position j is marked.
+
+    They are n less the windows with no mark.  The high bits of the unmarked
+    lanes, written twice for the windows that wrap around, are ANDed with
+    their shifts by 1, 2, 4, ... lanes while the span is at most b/2, then by
+    b - span lanes, so lane j keeps its bit when lanes j, ..., j+b-1 are all
+    unmarked.  When the AND of shifts 0 .. 2*span-1 is 0, no 2*span lanes in
+    a row are unmarked, so neither are the b >= 2*span lanes of any window,
+    and all n windows count.
+    """
     try:
         lo, hi = _LANES[n]
     except KeyError:
@@ -119,14 +132,16 @@ def _marked_windows(d: int, n: int, b: int) -> int:
             _LANES.clear()
         hi = int.from_bytes(b"\x80" * n, "little")
         lo, hi = _LANES[n] = hi - (hi >> 7), hi
-    m = (((d & lo) + lo) | d) & hi
-    acc = m | m << 8 * n         # twice, for the windows that wrap around
-    span = 1                     # acc ORs shifts 0 .. span-1
+    a = hi & ~(((d & lo) + lo) | d)   # the high bit of each unmarked lane
+    acc = a | a << 8 * n         # twice, for the windows that wrap around
+    span = 1                     # acc ANDs shifts 0 .. span-1
     while span <= b // 2:
-        acc |= acc >> (8 * span)
+        acc &= acc >> (8 * span)
+        if not acc:
+            return n             # no unmarked window is left
         span *= 2
-    acc |= acc >> (8 * (b - span))   # b - span < span: now shifts 0 .. b-1
-    return (acc & hi).bit_count()
+    acc &= acc >> (8 * (b - span))   # b - span < span: now shifts 0 .. b-1
+    return n - (acc & hi).bit_count()
 
 
 def _gaps(xs: tuple, ys: tuple, b: int):

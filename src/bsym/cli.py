@@ -230,9 +230,31 @@ _COMMANDS = {
 }
 
 
+_LIST_OPTIONS = ("--x", "--y", "--word", "--modulus")
+
+
+def _join_list_values(argv: list) -> list:
+    """argv with `--y -1,2,0` written as `--y=-1,2,0`.
+
+    argparse takes an argument that starts with "-" and is not a plain number
+    for an option, so a word or modulus whose first entry is negative would
+    leave its option without a value.  Only "-" followed by a digit is joined,
+    so `--x --y 1,2` still reports the missing value of --x.
+    """
+    joined = []
+    for arg in argv:
+        if (joined and joined[-1] in _LIST_OPTIONS
+                and arg[:1] == "-" and arg[1:2].isdigit()):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    return joined
+
+
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        argv = sys.argv[1:] if argv is None else argv
+        args = _build_parser().parse_args(_join_list_values(argv))
         return _COMMANDS[args.command](args)
     except SystemExit as exc:        # --help
         return 1 if exc.code not in (0, None) else 0

@@ -98,8 +98,12 @@ class SuiteReport:
         }
 
 
-def _bits(mask: int, n: int) -> tuple:
-    return tuple((mask >> j) & 1 for j in range(n))
+_DIGIT_VALUES = bytes.maketrans(b"01", b"\0\1")    # a 256-entry byte table
+
+
+def _bits(mask: int, n: int) -> bytes:
+    """Bit j of mask as byte j, for a mask below 2^n."""
+    return format(mask, f"0{n}b")[::-1].encode().translate(_DIGIT_VALUES)
 
 
 @lru_cache(maxsize=None)
@@ -229,7 +233,7 @@ def run_formula_suite(cfg: SuiteConfig) -> SuiteReport:
 
     oracle = {}          # (n, b) -> the oracle's d_b of each pattern, by mask
     for n in range(2, cfg.exhaustive_n_max + 1):
-        zero = (0,) * n
+        zero = bytes(n)
         for b in range(2, n + 1):
             oracle[n, b] = []
         for mask in range(2 ** n):

@@ -1,6 +1,6 @@
 import itertools
 import random
-from operator import ne
+from operator import ne, xor
 
 import pytest
 from hypothesis import given, settings
@@ -416,6 +416,45 @@ def test_lane_masks_are_kept_for_at_most_64_lengths():
         word = x + (0,) * (n - 1)
         assert weight_b_oracle(word, 2) == 2 and len(_LANES) <= 64
     assert weight_b_oracle(x, 2) == 2 and dist_b_oracle(x, (0, 0, 0), 3) == 3
+
+
+# widths 2^k - 1, 2^k and 2^k + 1, and word lengths n <= 40 around them
+_DOUBLING_WIDTHS = (1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33)
+_DOUBLING_LENGTHS = (1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 32, 33, 40)
+
+
+def _one_run_pair(n, start, length):
+    """(x, y, z): byte-valued words that agree exactly at the circular run
+    start, ..., start+length-1, and z = x ^ y, zero exactly on that run."""
+    run = {(start + t) % n for t in range(length)}
+    x = tuple(37 * t % 256 for t in range(n))
+    z = tuple(0 if t in run else (1, 128, 255, 64)[t % 4] for t in range(n))
+    return x, tuple(map(xor, x, z)), z
+
+
+def test_oracles_at_the_doubling_boundaries():
+    """Pairs with exactly one agreeing run, at every start (across n-1 -> 0
+    too) and at lengths around b, at widths 2^k - 1, 2^k and 2^k + 1: the
+    agreement AND covers window j by shifts of 1, 2, 4, ... lanes and one of
+    b - span, and stops when nothing is left.  A run of n - 1 (one
+    disagreement) makes every shift count; no agreement at all stops at the
+    first AND; equal words give 0.  Both oracles, on tuples and bytes, count
+    what windows_b gives."""
+    seen = set()
+    for n in _DOUBLING_LENGTHS:
+        for b in (w for w in _DOUBLING_WIDTHS if w <= n):
+            for length in {0, 1, b - 2, b - 1, b, b + 1, n - 1, n}:
+                if not 0 <= length <= n:
+                    continue
+                for start in range(n if 0 < length < n else 1):
+                    x, y, z = _one_run_pair(n, start, length)
+                    expected = sum(map(ne, windows_b(x, b), windows_b(y, b)))
+                    got = (_dist_oracle(x, y, b), _dist_oracle(bytes(x), bytes(y), b),
+                           _weight_oracle(z, b), _weight_oracle(bytes(z), b))
+                    assert got == (expected,) * 4, (n, b, start, length)
+                    seen.add((length == 0, length == n, expected == n))
+    assert seen == {(True, False, True), (False, True, False),
+                    (False, False, True), (False, False, False)}
 
 
 def _agreeing_at(x, positions, q=3):

@@ -456,10 +456,55 @@ def test_width_errors_name_the_allowed_range(capsys, argv, message):
     (["--b", "2", "--x", "300,2,0", "--y=-1,2,0"], "formula=2 oracle=2 match=true\n"),
     (["--b", "3", "--x", "128,0,0,0,0", "--y", "0,0,0,0,0"],
      "formula=3 oracle=3 match=true\n"),
+    (["--b", "2", "--x", "300,2,0", "--y", "-1,2,0"], "formula=2 oracle=2 match=true\n"),
 ])
 def test_dist_of_symbols_outside_a_byte(capsys, argv, expected):
     """300 and -1 are outside a byte lane, so the oracle marks positions by
-    comparing symbols; 128 alone fills only a lane's high bit.  A word that
-    starts with a minus sign is given as --y=..., since argparse would read
-    --y -1,2,0 as an option."""
+    comparing symbols; 128 alone fills only a lane's high bit."""
     assert run(capsys, "dist", *argv) == (0, expected, "")
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["dist", "--b", "2", "--x", "-1,2,0", "--y", "-1,2,0"],
+     "formula=0 oracle=0 match=true\n"),
+    (["dist", "--x", "-1", "--y", "-2", "--b", "1"], "formula=1 oracle=1 match=true\n"),
+    (["dist", "--b", "2", "--method", "oracle", "--y", "-3,0", "--x", "0,0"], "2\n"),
+    (["pi", "--b", "2", "--word", "-1,0,5"], "-1,0\n0,5\n5,-1\n"),
+    (["pi", "--word", "-10", "--b", "1", "--n", "1"], "-10\n"),
+])
+def test_a_word_may_start_with_a_minus_sign(capsys, argv, expected):
+    """A word whose first symbol is negative is its option's value whether it
+    is given as its own argument, before or after other options."""
+    assert run(capsys, *argv) == (0, expected, "")
+
+
+def test_main_reads_a_word_that_starts_with_a_minus_sign_from_sys_argv(
+        capsys, monkeypatch):
+    """The console script calls main() with no argv."""
+    monkeypatch.setattr(sys, "argv", ["bsym", "dist", "--b", "2", "--x", "1,0,0",
+                                      "--y", "-1,0,0"])
+    assert main() == 0
+    assert capsys.readouterr().out == "formula=2 oracle=2 match=true\n"
+
+
+def test_a_modulus_may_start_with_a_minus_sign(capsys):
+    """-1 + x + x^2 is x^2 + x + 2 over F_3."""
+    base = ["code", "--p", "3", "--e", "1", "--m", "2", "--i", "1", "--b", "2",
+            "--method", "closed"]
+    expected = run(capsys, *base, "--modulus", "2,1,1")
+    assert expected[0] == 0 and expected[2] == ""
+    assert run(capsys, *base, "--modulus", "-1,1,1") == expected
+
+
+@pytest.mark.parametrize("argv,option", [
+    (["dist", "--b", "2", "--x", "--y", "-1,2,0"], "--x"),
+    (["dist", "--b", "2", "--x", "1,2,0", "--y", "--method", "oracle"], "--y"),
+    (["pi", "--b", "2", "--word", "-x"], "--word"),
+    (["pi", "--b", "2", "--word"], "--word"),
+])
+def test_an_option_is_never_taken_for_a_word(capsys, argv, option):
+    """Only "-" and a digit joins its option: a following option, or a value
+    that is not a number, still leaves the option without its value."""
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == f"usage error: bsym {argv[0]}: argument {option}: expected one argument\n"

@@ -76,8 +76,8 @@ def _commands(ints, primes, words, ranges, moduli):
     ]
 
 
-def _word(n):
-    return st.lists(st.integers(0, 3), min_size=n, max_size=n).map(
+def _word(n, lo=0):
+    return st.lists(st.integers(lo, 3), min_size=n, max_size=n).map(
         lambda s: ",".join(map(str, s)))
 
 
@@ -110,6 +110,13 @@ quick_commands = st.one_of(
                               "-1", "x", "--", "--method=brute", "--format=xml"]),
              max_size=6),
 )
+# words with negative symbols, each given as its own argument after its option
+spaced_words = [
+    lengths.flatmap(lambda n: st.tuples(st.integers(1, n), _word(n, -3), _word(n, -3)).map(
+        lambda bxy: ["dist", "--b", str(bxy[0]), "--x", bxy[1], "--y", bxy[2]])),
+    lengths.flatmap(lambda n: st.tuples(st.integers(1, n), _word(n, -3)).map(
+        lambda bw: ["pi", "--word", bw[1], "--b", str(bw[0])])),
+]
 verify_commands = _command(
     "verify", {"trials": small},
     {"suite": st.sampled_from(["all", "formula", "code", "lemma", "bounds"]),
@@ -148,6 +155,7 @@ def _check(argv, env_cap):
     assert code in (0, 1, 2), argv
     if code == 1:
         assert err.getvalue().count("\n") == 1 and out.getvalue() == "", argv
+    return code, out.getvalue()
 
 
 @_bounded(200)
@@ -160,3 +168,12 @@ def test_any_arguments_keep_the_exit_contract(argv, env_cap):
 @given(argv=verify_commands, env_cap=env_caps)
 def test_any_verify_arguments_keep_the_exit_contract(argv, env_cap):
     _check(argv, env_cap)
+
+
+@_bounded(50)
+@given(argv=st.one_of(*spaced_words))
+def test_a_word_that_starts_with_a_minus_sign_is_read_as_a_word(argv):
+    """--x -1,2,0 gives the word, as --x=-1,2,0 does: the command succeeds."""
+    code, out = _check(argv, "64")
+    assert code == 0, argv
+    assert out.endswith("match=true\n") if argv[0] == "dist" else out, argv
