@@ -12,7 +12,7 @@ import json
 import sys
 from itertools import chain
 
-from . import codes, verify
+from . import codes, engine, verify
 from .bsymbol import dist_b_formula, dist_b_oracle, windows_b
 from .codes import CyclicCodeSpec, build_record, record_to_dict
 from .errors import BsymError, IndexOutOfRangeError, UsageError
@@ -35,23 +35,17 @@ def parse_range(text: str):
     return lo, hi
 
 
-def parse_generic_word(text: str) -> tuple:
+def parse_generic_word(text: str, what: str = "word") -> tuple:
     try:
         return tuple(int(s) for s in text.split(","))
     except ValueError as exc:
-        raise UsageError(f"cannot parse word {text!r}: {exc}") from None
-
-
-def parse_modulus(text: str):
-    try:
-        return [int(c) for c in text.split(",")]
-    except ValueError:
-        raise UsageError(
-            f"cannot parse modulus {text!r}: expected comma-separated integers"
-        ) from None
+        raise UsageError(f"cannot parse {what} {text!r}: {exc}") from None
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):      # subparsers are _Parsers too
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):
         """One line, as every other bad input gets, instead of usage + error."""
         raise UsageError(f"{self.prog}: {message}")
@@ -138,12 +132,12 @@ def _cmd_dist(args) -> int:
 
 def _cap(args) -> int:
     if args.cap is None:
-        return codes.enumeration_cap()
-    return codes.check_cap(args.cap, "--cap")
+        return engine.enumeration_cap()
+    return engine.check_cap(args.cap, "--cap")
 
 
 def _make_field(args):
-    modulus = parse_modulus(args.modulus) if args.modulus else None
+    modulus = parse_generic_word(args.modulus, "modulus") if args.modulus else None
     return make_field(args.p, args.m, modulus)
 
 

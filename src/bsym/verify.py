@@ -14,7 +14,7 @@ from functools import lru_cache
 from itertools import islice
 from typing import ClassVar
 
-from . import codes
+from . import codes, engine
 from .bsymbol import (
     _bounds,
     _dist_formula,
@@ -46,7 +46,7 @@ MAX_TRIALS = 10 ** 7       # about 3-4 minutes of the formula suite
 class SuiteConfig:
     seed: int = 42
     trials: int = 100_000
-    cap: int = codes.DEFAULT_CAP
+    cap: int = engine.DEFAULT_CAP
 
     # the fixed shape of the suites
     grid: ClassVar[tuple] = DEFAULT_GRID
@@ -282,7 +282,7 @@ def _grid_records(cfg: SuiteConfig, rep: SuiteReport):
         f = make_field(p, m)
         for i in range(p ** e + 1):
             spec = CyclicCodeSpec(f, e, i)
-            if codes.above_cap(spec, cfg.cap):
+            if engine.above_cap(spec, cfg.cap):
                 rep.skip("skipped_cap")
                 continue
             yield spec, [codes.build_record(spec, b, cfg.cap)

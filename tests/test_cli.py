@@ -508,3 +508,23 @@ def test_an_option_is_never_taken_for_a_word(capsys, argv, option):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert err == f"usage error: bsym {argv[0]}: argument {option}: expected one argument\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["pi", "--b", "2", "--wor", "-1,0,5"],
+    ["pi", "--b", "2", "--wor", "1,0,5"],
+    ["dist", "--b", "2", "--x", "1,0", "--y", "0,0", "--meth", "oracle"],
+    ["code", "--p", "3", "--e", "2", "--i", "4", "--b", "2", "--method", "closed", "--form", "csv"],
+    ["table", "--p", "2", "--e", "2", "--b", "2", "--no-b"],
+    ["verify", "--suite", "lemma", "--trial", "10"],
+])
+def test_an_abbreviated_option_is_refused(capsys, argv):
+    """An option is taken only by its full name, so `--wor` is not `--word`
+    whatever follows it: one line and exit 1."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("usage error: bsym") and err.count("\n") == 1
+
+
+def test_the_full_name_takes_the_word_the_abbreviation_did_not(capsys):
+    assert run(capsys, "pi", "--b", "2", "--word", "-1,0,5") == (0, "-1,0\n0,5\n5,-1\n", "")

@@ -6,7 +6,7 @@ from functools import lru_cache
 
 import pytest
 
-from bsym import codes
+from bsym import codes, engine
 from bsym.bsymbol import weight_b_oracle
 from bsym.codes import (
     CyclicCodeSpec,
@@ -187,14 +187,14 @@ def test_above_cap_agrees_with_size(cap):
     for f, e in [(Z2, 3), (Z3, 2), (make_field(2, 2), 2), (Z5, 1), (make_field(3, 2), 1)]:
         for i in range(f.p ** e + 1):
             s = spec(f, e, i)
-            assert codes.above_cap(s, cap) == (s.field.q ** s.k_dim > cap), (f, e, i)
+            assert engine.above_cap(s, cap) == (s.field.q ** s.k_dim > cap), (f, e, i)
 
 
 def test_above_cap_does_not_build_the_code_size():
     s = spec(Z2, 26, 1)          # 2^(2^26 - 1) codewords: an 8 MiB integer
     tracemalloc.start()
     try:
-        assert codes.above_cap(s, 2 ** 22)
+        assert engine.above_cap(s, 2 ** 22)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -230,14 +230,14 @@ def _reference(p, e, m, i):
 
 
 def _unpack(mask, p, n):
-    bits = codes._packing(p, n)[0]
+    bits = engine._packing(p, n)[0]
     return sum(1 << j for j in range(n) if (mask >> (bits * j + bits - 1)) & 1)
 
 
 @pytest.mark.parametrize("p,e,m,i", CROSS_CHECK_SPECS)
 def test_gray_walk_yields_every_nonzero_support_once(p, e, m, i):
     s = spec(make_field(p, m), e, i)
-    walked = [_unpack(mask, p, s.n) for mask in codes._gray_supports(s)]
+    walked = [_unpack(mask, p, s.n) for mask in engine._gray_supports(s)]
     assert len(walked) == s.field.q ** s.k_dim - 1
     assert Counter(walked) == _reference(p, e, m, i)[0]
 
@@ -259,15 +259,15 @@ def test_engine_minima_match_reference_for_every_b(p, e, m, i):
 ])
 def test_engine_stops_early_only_when_every_b_floors(monkeypatch, f, e, i, walked):
     seen = []
-    walk = codes._gray_supports
+    walk = engine._gray_supports
 
     def counting(s):
         for support in walk(s):
             seen.append(support)
             yield support
 
-    monkeypatch.setattr(codes, "_gray_supports", counting)
-    codes._min_weights.__wrapped__(spec(f, e, i))
+    monkeypatch.setattr(engine, "_gray_supports", counting)
+    engine._min_weights.__wrapped__(spec(f, e, i))
     assert len(seen) == walked
 
 

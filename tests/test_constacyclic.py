@@ -14,7 +14,8 @@ import pytest
 
 from bsym import gf
 from bsym.bsymbol import weight_b_oracle
-from bsym.codes import CyclicCodeSpec, _min_weights
+from bsym.codes import CyclicCodeSpec
+from bsym.engine import _min_weights
 from bsym.gf import make_field
 from bsym.polyring import poly, poly_mul
 
