@@ -1,18 +1,22 @@
 """The exhaustive engine: the minimum b-weight of C_i for every b, and the cap.
 
-It walks each code once in Gray-code order and takes the minimum b-weight for
-every b in that one pass; beyond the cap it raises instead of approximating.
-A spec is read only through p, m, n, k_dim, field and generator(); nothing
-here imports `codes`, whose `enumerate_codewords` is the slow reference.
+It walks a code once in Gray-code order and takes the minimum b-weight for
+every b in that one pass; the walk of C_i passes through every smaller code
+C_j, j > i, first, so one walk answers them all.  Beyond the cap it raises
+instead of approximating.  A spec is read only through p, m, e, i, n, k_dim,
+field and generator(); nothing here imports `codes`, whose
+`enumerate_codewords` is the slow reference.
 """
 
 import os
-from functools import lru_cache
+from itertools import islice
 
-from .errors import EnumerationTooLargeError, InvalidCapError
-from .polyring import to_word
+from .errors import EnumerationTooLargeError, InvalidCapError, PackedWordTooLargeError
 
 DEFAULT_CAP = 2 ** 22
+MAX_PACKED_BITS = 2 ** 22    # the largest packed codeword, W * n bits (see _field_bits)
+_FAMILIES = 16               # the (field, e) families whose minima are kept
+_minima = {}                 # (field, e) -> {i: (0, d_1, ..., d_n)}, least recent first
 
 
 def check_cap(value, source: str) -> int:
@@ -32,7 +36,7 @@ def enumeration_cap() -> int:
     return check_cap(env, "BSYM_CAP") if env else DEFAULT_CAP
 
 
-def above_cap(spec, cap: int) -> bool:
+def _too_many(spec, cap: int) -> bool:
     """q^k_dim > cap, without building q^k_dim when it is far above the cap:
     q >= 2^(bl-1) for bl = q.bit_length(), so k_dim * (bl-1) >= the bit length
     of the cap puts q^k_dim above it, and otherwise q^k_dim < cap^2."""
@@ -40,18 +44,56 @@ def above_cap(spec, cap: int) -> bool:
     return k * (q.bit_length() - 1) >= cap.bit_length() or q ** k > cap
 
 
+def _field_bits(p: int) -> int:
+    """W, the bits per position of a packed word: 1 for p = 2, else room for a
+    sum of two digits."""
+    return 1 if p == 2 else (p - 1).bit_length() + 1
+
+
+def _too_wide(spec) -> bool:
+    return _field_bits(spec.p) * spec.n > MAX_PACKED_BITS
+
+
+def above_cap(spec, cap: int) -> bool:
+    """True where `refuse_above_cap` refuses: q^k_dim > cap, or a packed word
+    of more than MAX_PACKED_BITS bits."""
+    return _too_many(spec, cap) or _too_wide(spec)
+
+
 def refuse_above_cap(spec, cap: int | None):
-    """Raise EnumerationTooLargeError above `cap`; None is `enumeration_cap()`."""
+    """Raise EnumerationTooLargeError above `cap`, then PackedWordTooLargeError
+    above MAX_PACKED_BITS, before anything of size n is built; None is
+    `enumeration_cap()`."""
     cap = enumeration_cap() if cap is None else cap
-    if above_cap(spec, cap):
+    if _too_many(spec, cap):
         raise EnumerationTooLargeError(spec.field.q, spec.k_dim, cap)
+    if _too_wide(spec):
+        raise PackedWordTooLargeError(spec.p, spec.e, _field_bits(spec.p),
+                                      MAX_PACKED_BITS)
 
 
 def _packing(p: int, n: int):
-    """(W, ones) of the packed layout: W bits per position (1 for p = 2, else
-    room for a sum of two digits) and `ones` with the low bit of every field."""
-    bits = 1 if p == 2 else (p - 1).bit_length() + 1
+    """(W, ones) of the packed layout: W bits per position and `ones` with
+    the low bit of every field."""
+    bits = _field_bits(p)
     return bits, ((1 << bits * n) - 1) // ((1 << bits) - 1)
+
+
+def _packed_generator(spec, bits: int) -> int:
+    """(x-1)^i, i < n, packed W bits per position.  Its coefficients lie in the
+    prime subfield, the ints 0..p-1, and its degree is below n, so it is its
+    own word."""
+    digits = [format(c, f"0{bits}b") for c in range(spec.p)]
+    return int("".join(map(digits.__getitem__, reversed(spec.generator()))), 2)
+
+
+def _generator_support(spec, bits: int, ones: int) -> int:
+    """The packed support of (x-1)^i, i < n: top bit of each field where the
+    coefficient is nonzero (see _gray_supports)."""
+    row = _packed_generator(spec, bits)
+    if spec.p == 2:
+        return row
+    return (row + ones * ((1 << (bits - 1)) - 1)) & (ones << (bits - 1))
 
 
 def _valuation(t: int, p: int) -> int:
@@ -83,30 +125,36 @@ def _gray_path(steps: list, p: int):
 def _gray_supports(spec):
     """Yield the support of every nonzero codeword of C_i exactly once.
 
-    The code is walked over its F_p-basis beta_l * x^j * (x-1)^i (l < m,
-    j < k_dim).  The generator has prime-subfield coefficients (the ints
-    0..p-1), so each basis row lives in the single coefficient plane l of
-    F_{p^m}.  Planes are
-    packed into ints with W bits per position (see _packing), and each
-    Gray step adds one row to one plane: an XOR for p = 2, otherwise a SWAR
-    add reduced mod p (the bias makes a field's top bit flag a sum >= p).
-    A support has bit W*t + W - 1 set where position t is nonzero.
+    The code is walked over its F_p-basis beta_l * (x-1)^t (l < m, i <= t < n):
+    the powers have distinct degrees below n and are multiples of (x-1)^i, so
+    the n - i of them span C_i, and those with t >= j span C_j.  The highest
+    power takes the fastest Gray digit, so the first q^a - 1 supports are the
+    nonzero words of C_{n-a}.  Each power is the one before times (x - 1).
+    The rows have prime-subfield coefficients (the ints 0..p-1), so each
+    lives in the single coefficient plane l of F_{p^m}.  Planes are packed
+    into ints with W bits per position (see _field_bits), and each Gray step
+    adds one row to one plane: an XOR for p = 2, otherwise a SWAR add reduced
+    mod p (the bias makes a field's top bit flag a sum >= p).  A support has
+    bit W*t + W - 1 set where position t is nonzero.
     """
     p, m, n = spec.p, spec.m, spec.n
+    if not spec.k_dim:
+        return                            # the zero code has no nonzero word
     bits, ones = _packing(p, n)
-    span = bits * n
-    full = (1 << span) - 1
-    high = ones << (bits - 1)                 # the top bit of every field
+    high = ones << (bits - 1)             # the top bit of every field
     nonzero_bias = ones * ((1 << (bits - 1)) - 1)
     reduce_bias = ones * ((1 << (bits - 1)) - p)
-    row = 0
-    for t, sym in enumerate(to_word(spec.field, spec.generator(), n)):
-        row |= sym << (bits * t)
-    shifts = [
-        ((row << bits * j) | (row >> span - bits * j)) & full
-        for j in range(spec.k_dim)
-    ]
-    basis = [(plane, shift) for plane in range(m) for shift in shifts]
+    p_each = ones * p                     # p in every field
+    row = _packed_generator(spec, bits)
+    rows = [row]
+    for _ in range(1, spec.k_dim):        # row * (x - 1): deg row < n - 1, no wrap
+        if p == 2:
+            row ^= row << 1
+        else:
+            row = (row << bits) + p_each - row      # d_{t-1} + p - d_t in 1..2p-1
+            row -= (((row + reduce_bias) & high) >> (bits - 1)) * p
+        rows.append(row)
+    basis = [(plane, r) for r in reversed(rows) for plane in range(m)]
     planes = [0] * m
     for plane, r in _gray_path(basis, p):
         if p == 2:
@@ -123,31 +171,53 @@ def _gray_supports(spec):
         yield union if p == 2 else (union + nonzero_bias) & high
 
 
-@lru_cache(maxsize=256)
+def _family(spec) -> dict:
+    """The cached minima of the codes C_j of spec's (field, e), marked most
+    recently used; the least recently used family beyond _FAMILIES is dropped."""
+    key = (spec.field, spec.e)
+    family = _minima.pop(key, {})
+    _minima[key] = family
+    if len(_minima) > _FAMILIES:
+        del _minima[next(iter(_minima))]
+    return family
+
+
 def _min_weights(spec) -> tuple:
     """(0, d_1, ..., d_n): minimum nonzero b-weight of C_i (i < n) for every b.
 
     w_b of a support is the popcount of the OR of its first b rotations, built
-    up one rotation per b until it covers all n positions.  The walk stops
-    early only once every d_b has reached its floor b.
+    up one rotation per b until it covers all n positions.  The generator is
+    tried alone first: if it is at the floor d_b = b of every width, as
+    (x-1)^0 = 1 is, that is the answer.  Otherwise it is dropped, and the walk
+    of C_i is folded slab by slab: after its first q^a - 1 supports, `best`
+    holds the minima of C_{n-a}, which are kept for every j >= i.
     """
-    n = spec.n
+    family = _family(spec)
+    if spec.i in family:
+        return family[spec.i]
+    n, q = spec.n, spec.field.q
     bits, ones = _packing(spec.p, n)
     top = ones << (bits - 1)
     wrap = bits * (n - 1)
+    acc = _generator_support(spec, bits, ones)
+    b = 1
+    while b < n and acc.bit_count() == b:
+        acc |= ((acc >> bits) | (acc << wrap)) & top
+        b += 1
+    if b == n:
+        family[spec.i] = tuple(range(n + 1))
+        return family[spec.i]
     best = [0] + [n] * n
-    above_floor = n - 1          # widths b < n whose minimum is still > b
-    for support in _gray_supports(spec):
-        acc = support
-        for b in range(1, n):
-            w = acc.bit_count()
-            if w == n:
-                break
-            if w < best[b]:
-                best[b] = w
-                if w == b:
-                    above_floor -= 1
-            acc |= ((acc >> bits) | (acc << wrap)) & top
-        if not above_floor:
-            break
-    return tuple(best)
+    supports = _gray_supports(spec)
+    for a in range(1, spec.k_dim + 1):
+        for support in islice(supports, q ** a - q ** (a - 1)):
+            acc = support
+            for b in range(1, n):
+                w = acc.bit_count()
+                if w == n:
+                    break
+                if w < best[b]:
+                    best[b] = w
+                acc |= ((acc >> bits) | (acc << wrap)) & top
+        family[n - a] = tuple(best)
+    return family[spec.i]

@@ -69,6 +69,17 @@ class EnumerationTooLargeError(BsymError):
         self.cap = cap
 
 
+class PackedWordTooLargeError(BsymError):
+    """A code of length p^e whose packed words are longer than the engine's bound."""
+
+    def __init__(self, p, e, bits, bound):
+        super().__init__(
+            f"a codeword of length {p}^{e} packs into {bits}*{p}^{e} bits, "
+            f"above the brute-force bound of {bound} bits"
+        )
+        self.bound = bound
+
+
 class InvalidCapError(BsymError):
     def __init__(self, source, value):
         super().__init__(f"{source} must be an integer >= 1, got {value!r}")

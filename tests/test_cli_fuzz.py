@@ -11,7 +11,8 @@ run, not a bad input.  The grammar keeps them out: the enumeration cap is
 always small, `--trials` only small, zero or negative, `table` always gets an
 `--i` range (without one it has p^e + 1 rows), and no accepted length p^e
 comes near 2^8192, where a row takes about 0.1 s.  Each example must end
-within TIME_BOUND_S.
+within TIME_BOUND_S.  Under the default cap, a brute-force row of a code with
+few codewords of length 2^40 or 2^200 is refused with one line, not built.
 """
 
 import contextlib
@@ -19,6 +20,7 @@ import io
 import os
 import signal
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -137,9 +139,11 @@ def _too_slow(signum, frame):
 
 
 def _check(argv, env_cap):
+    """main(argv) under BSYM_CAP=env_cap, or the default cap for None."""
     out, err = io.StringIO(), io.StringIO()
-    saved = os.environ.get("BSYM_CAP")
-    os.environ["BSYM_CAP"] = env_cap
+    saved = os.environ.pop("BSYM_CAP", None)
+    if env_cap is not None:
+        os.environ["BSYM_CAP"] = env_cap
     handler = signal.signal(signal.SIGALRM, _too_slow)
     signal.alarm(TIME_BOUND_S)
     try:
@@ -148,9 +152,8 @@ def _check(argv, env_cap):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, handler)
-        if saved is None:
-            del os.environ["BSYM_CAP"]
-        else:
+        os.environ.pop("BSYM_CAP", None)
+        if saved is not None:
             os.environ["BSYM_CAP"] = saved
     assert code in (0, 1, 2), argv
     if code == 1:
@@ -177,3 +180,18 @@ def test_a_word_that_starts_with_a_minus_sign_is_read_as_a_word(argv):
     code, out = _check(argv, "64")
     assert code == 0, argv
     assert out.endswith("match=true\n") if argv[0] == "dist" else out, argv
+
+
+# a few codewords of length 2^40 or 2^200: within the default cap, but each
+# word packs into more bits than the engine takes
+LONG_CODES = [(e, str(2 ** e - 3)) for e in (40, 200)]
+
+
+@pytest.mark.parametrize("argv", [
+    *(["code", "--p", "2", "--e", str(e), "--i", i, "--b", "2", "--method", "brute"]
+      for e, i in LONG_CODES),
+    *(["table", "--p", "2", "--e", str(e), "--b", "2", "--i", f"{i}..{i}"]
+      for e, i in LONG_CODES),
+], ids=[f"{cmd}-e{e}" for cmd in ("code", "table") for e, _ in LONG_CODES])
+def test_a_long_code_is_refused_under_the_default_cap(argv):
+    assert _check(argv, None) == (1, "")

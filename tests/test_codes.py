@@ -1,3 +1,5 @@
+import contextlib
+import io
 import itertools
 import time
 import tracemalloc
@@ -8,6 +10,7 @@ import pytest
 
 from bsym import codes, engine
 from bsym.bsymbol import weight_b_oracle
+from bsym.cli import main
 from bsym.codes import (
     CyclicCodeSpec,
     build_record,
@@ -26,6 +29,7 @@ from bsym.errors import (
     EnumerationTooLargeError,
     IndexOutOfRangeError,
     InvalidParameterError,
+    PackedWordTooLargeError,
     WidthOutOfRangeError,
     WidthTooLargeError,
 )
@@ -203,6 +207,19 @@ def test_above_cap_does_not_build_the_code_size():
         min_b_weight_bruteforce(s, 2)
 
 
+@pytest.mark.parametrize("f,e,admitted", [
+    (Z2, 22, True), (Z2, 23, False), (Z2, 200, False), (Z3, 12, True), (Z3, 13, False),
+])
+def test_a_packed_word_above_the_bound_is_refused(f, e, admitted):
+    """W * n bits per packed word, W = 1 for p = 2 and 3 for p = 3, against
+    2^22; a small dimension keeps every code below the cap."""
+    s = spec(f, e, f.p ** e - 3)
+    assert engine.above_cap(s, engine.DEFAULT_CAP) == (not admitted)
+    if not admitted:
+        with pytest.raises(PackedWordTooLargeError):
+            min_b_weight_bruteforce(s, 2)
+
+
 # --- Gray-code engine vs the enumeration reference -------------------------
 
 # every spec of the verify grid, plus odd-p and extension-field codes
@@ -238,8 +255,12 @@ def _unpack(mask, p, n):
 def test_gray_walk_yields_every_nonzero_support_once(p, e, m, i):
     s = spec(make_field(p, m), e, i)
     walked = [_unpack(mask, p, s.n) for mask in engine._gray_supports(s)]
-    assert len(walked) == s.field.q ** s.k_dim - 1
+    q = s.field.q
+    assert len(walked) == q ** s.k_dim - 1
     assert Counter(walked) == _reference(p, e, m, i)[0]
+    # the highest powers of x - 1 turn fastest: each smaller code is a prefix
+    for a in range(1, s.k_dim):
+        assert Counter(walked[:q ** a - 1]) == _reference(p, e, m, s.n - a)[0], a
 
 
 @pytest.mark.parametrize("p,e,m,i", CROSS_CHECK_SPECS)
@@ -251,6 +272,27 @@ def test_engine_minima_match_reference_for_every_b(p, e, m, i):
         assert min_b_weight_bruteforce(s, b) == expected[b], b
 
 
+def _count_evaluated(monkeypatch):
+    """[generator checks, walked supports] of the engine from now on, with an
+    empty cache of minima."""
+    counts = [0, 0]
+    walk, check = engine._gray_supports, engine._generator_support
+
+    def counting_walk(s):
+        for support in walk(s):
+            counts[1] += 1
+            yield support
+
+    def counting_check(*args):
+        counts[0] += 1
+        return check(*args)
+
+    monkeypatch.setattr(engine, "_gray_supports", counting_walk)
+    monkeypatch.setattr(engine, "_generator_support", counting_check)
+    monkeypatch.setattr(engine, "_minima", {})
+    return counts
+
+
 @pytest.mark.parametrize("f,e,i,walked", [
     (Z3, 2, 0, 1),               # a weight-1 word puts every d_b at its floor b
     (Z3, 2, 1, 3 ** 8 - 1),
@@ -258,17 +300,60 @@ def test_engine_minima_match_reference_for_every_b(p, e, m, i):
     (make_field(2, 2), 2, 1, 4 ** 3 - 1),
 ])
 def test_engine_stops_early_only_when_every_b_floors(monkeypatch, f, e, i, walked):
-    seen = []
-    walk = engine._gray_supports
+    counts = _count_evaluated(monkeypatch)
+    s = spec(f, e, i)
+    minima = engine._min_weights(s)
+    checks, supports = counts
+    assert checks == 1                   # the generator, tried alone, once
+    if i == 0:
+        # the generator 1 is the one word evaluated: every d_b is at its floor b
+        assert (checks, supports) == (walked, 0)
+        assert minima == tuple(range(s.n + 1))
+    else:
+        assert supports == walked        # dropped, and the whole code walked
 
-    def counting(s):
-        for support in walk(s):
-            seen.append(support)
-            yield support
 
-    monkeypatch.setattr(engine, "_gray_supports", counting)
-    engine._min_weights.__wrapped__(spec(f, e, i))
-    assert len(seen) == walked
+def test_table_sweep_walks_the_largest_code_once(monkeypatch):
+    """`table --p 2 --e 4 --b 2..6`: C_0 answers by its generator, the walk
+    of C_1 answers every smaller code, and C_16 is the zero code."""
+    counts = _count_evaluated(monkeypatch)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["table", "--p", "2", "--e", "4", "--b", "2..6",
+                     "--format", "csv"]) == 0
+    assert counts == [2, 2 ** 15 - 1]
+    assert sum(counts) <= 32_770         # 65,520 when each code was walked alone
+    assert out.getvalue().count("\n") == 1 + 17 * 5
+
+
+NESTED_FAMILIES = [(2, 1, 1), (2, 2, 1), (2, 3, 1), (2, 4, 1), (3, 1, 1), (3, 2, 1),
+                   (5, 1, 1), (7, 1, 1), (2, 2, 2), (2, 3, 2), (3, 1, 2), (2, 2, 3)]
+
+
+@pytest.mark.parametrize("p,e,m", NESTED_FAMILIES)
+def test_cached_minima_match_reference_in_either_order(monkeypatch, p, e, m):
+    """Every code of the family with q^k <= 2^12, requested with i rising (one
+    walk answers the rest from the cache) and falling (each code walked
+    again), against enumerate_codewords and weight_b_oracle."""
+    f = make_field(p, m)
+    n = p ** e
+    indices = [i for i in range(n) if f.q ** (n - i) <= 2 ** 12]
+    for order in (indices, indices[::-1]):
+        monkeypatch.setattr(engine, "_minima", {})
+        for i in order:
+            assert engine._min_weights(spec(f, e, i)) == _reference(p, e, m, i)[1], \
+                (i, order[0])
+
+
+def test_the_minima_cache_keeps_the_most_recently_used_families(monkeypatch):
+    monkeypatch.setattr(engine, "_minima", {})
+    for e in range(1, engine._FAMILIES + 2):
+        engine._min_weights(spec(Z2, e, 2 ** e - 1))
+    assert list(engine._minima) == [(Z2, e) for e in range(2, engine._FAMILIES + 2)]
+    engine._min_weights(spec(Z2, 2, 3))             # a hit makes (Z2, 2) the most recent
+    engine._min_weights(spec(Z3, 1, 2))
+    assert (Z2, 2) in engine._minima and (Z2, 3) not in engine._minima
+    assert len(engine._minima) == engine._FAMILIES
 
 
 # codes too large for the old enumeration; Thm11 with k >= 2 fires on them
