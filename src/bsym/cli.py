@@ -35,11 +35,11 @@ def parse_range(text: str):
     return lo, hi
 
 
-def parse_generic_word(text: str, what: str = "word") -> tuple:
+def parse_generic_word(text: str) -> tuple:
     try:
         return tuple(int(s) for s in text.split(","))
     except ValueError as exc:
-        raise UsageError(f"cannot parse {what} {text!r}: {exc}") from None
+        raise UsageError(f"cannot parse word {text!r}: {exc}") from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -74,7 +74,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_code.add_argument("--p", type=int, required=True)
     p_code.add_argument("--e", type=int, required=True)
     p_code.add_argument("--m", type=int, default=1)
-    p_code.add_argument("--modulus", default=None)
     p_code.add_argument("--i", type=int, required=True)
     p_code.add_argument("--b", type=int, required=True)
     p_code.add_argument("--method", choices=["closed", "brute", "both"],
@@ -87,7 +86,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--p", type=int, required=True)
     p_table.add_argument("--e", type=int, required=True)
     p_table.add_argument("--m", type=int, default=1)
-    p_table.add_argument("--modulus", default=None)
     p_table.add_argument("--b", required=True, help="range a..b or single value")
     p_table.add_argument("--i", default=None, help="range a..b; default 0..p^e")
     p_table.add_argument("--format", choices=["csv", "json"], default="csv")
@@ -100,7 +98,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--seed", type=int, default=42)
     p_ver.add_argument("--trials", type=int, default=100_000)
     p_ver.add_argument("--cap", type=int, default=None)
-    p_ver.add_argument("--format", choices=["json"], default="json")
 
     return ap
 
@@ -134,11 +131,6 @@ def _cap(args) -> int:
     if args.cap is None:
         return engine.enumeration_cap()
     return engine.check_cap(args.cap, "--cap")
-
-
-def _make_field(args):
-    modulus = parse_generic_word(args.modulus, "modulus") if args.modulus else None
-    return make_field(args.p, args.m, modulus)
 
 
 def _emit_records(records, fmt: str, out_path) -> bool:
@@ -175,7 +167,7 @@ def _emit_records(records, fmt: str, out_path) -> bool:
 
 
 def _cmd_code(args) -> int:
-    spec = CyclicCodeSpec(_make_field(args), args.e, args.i)
+    spec = CyclicCodeSpec(make_field(args.p, args.m), args.e, args.i)
     cap = _cap(args)
     rec = build_record(spec, args.b, cap, with_brute=args.method in ("brute", "both"))
     if args.format == "plain":
@@ -186,7 +178,7 @@ def _cmd_code(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    f = _make_field(args)
+    f = make_field(args.p, args.m)
     n = CyclicCodeSpec(f, args.e, 0).n  # validates e before the i range is built
     b_lo, b_hi = parse_range(args.b)
     i_lo, i_hi = parse_range(args.i) if args.i else (0, n)
@@ -224,14 +216,14 @@ _COMMANDS = {
 }
 
 
-_LIST_OPTIONS = ("--x", "--y", "--word", "--modulus")
+_LIST_OPTIONS = ("--x", "--y", "--word")
 
 
 def _join_list_values(argv: list) -> list:
     """argv with `--y -1,2,0` written as `--y=-1,2,0`.
 
     argparse takes an argument that starts with "-" and is not a plain number
-    for an option, so a word or modulus whose first entry is negative would
+    for an option, so a word whose first entry is negative would
     leave its option without a value.  Only "-" followed by a digit is joined,
     so `--x --y 1,2` still reports the missing value of --x.
     """

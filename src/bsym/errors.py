@@ -11,21 +11,6 @@ class NonPrimeError(BsymError):
         self.p = p
 
 
-class NotIrreducibleError(BsymError):
-    def __init__(self, modulus):
-        super().__init__(f"modulus {list(modulus)} is not irreducible")
-        self.modulus = tuple(modulus)
-
-
-class NoDefaultModulusError(BsymError):
-    def __init__(self, p, m):
-        super().__init__(
-            f"no built-in irreducible modulus for (p={p}, m={m}); supply one explicitly"
-        )
-        self.p = p
-        self.m = m
-
-
 class InvalidParameterError(BsymError, ValueError):
     """A code or field parameter (e, m, trials) below its minimum."""
 

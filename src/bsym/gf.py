@@ -2,30 +2,20 @@
 
 An element of F_{p^m} is an int in range(q), q = p^m, whose base-p digits are
 the coefficients of a polynomial over Z_p of degree < m, constant term in the
-lowest digit, reduced modulo a monic irreducible polynomial of degree m.  The
-prime subfield is 0..p-1, and for m = 1 an element is its residue mod p, so
-range(q) lists every element with zero first.  The operations are module
+lowest digit, reduced modulo a monic irreducible polynomial of degree m.  A
+field is named by (p, m) alone, since no code C_i depends on the modulus:
+it is searched for on the first product in F_{p^m}.  The prime subfield is
+0..p-1, and for m = 1 an element is its residue mod p, so range(q) lists
+every element with zero first.  The operations are module
 functions taking the field first: add(f, a, b), mul(f, a, b), ...
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from .errors import (
-    InvalidParameterError,
-    NoDefaultModulusError,
-    NonPrimeError,
-    NotIrreducibleError,
-)
-
-# Small irreducible moduli so the common extension fields work out of the box.
-# Coefficients constant term first.
-DEFAULT_MODULI = {
-    (2, 2): (1, 1, 1),      # x^2 + x + 1
-    (2, 3): (1, 1, 0, 1),   # x^3 + x + 1
-    (3, 2): (1, 0, 1),      # x^2 + 1
-}
+from .errors import InvalidParameterError, NonPrimeError
 
 
 # Miller-Rabin with the first 13 primes as bases decides every p below this
@@ -34,10 +24,11 @@ DEFAULT_MODULI = {
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MR_LIMIT = 3317044064679887385961981
 
-# Fields have q = p^m <= 2^MAX_M, so m <= MAX_M.  Rabin's test costs about
-# m^2 log q, which for a given q is largest at p = 2: there the slowest
-# degree up to 128 took 0.40 s on a random modulus (m = 120, which has three
-# prime factors; 2 vCPU Xeon, Python 3.11).
+# Fields have q = p^m <= 2^MAX_M, so m <= MAX_M.  The modulus search runs
+# Rabin's test, about m^2 log q, on one candidate after another; at p = 2 it
+# took 4 ms for m = 16, 0.11 s for m = 32 and 10.6 s for m = 128 (135
+# candidates; 2 vCPU Xeon, Python 3.11).  So it runs only when F_{p^m} is
+# multiplied, which no command does for m >= 2.
 MAX_M = 128
 
 
@@ -128,8 +119,6 @@ def _prime_divisors(m: int):
 def _zp_irreducible(modulus, p, m) -> bool:
     """Rabin's test: the monic f of degree m is irreducible over Z_p iff
     x^(p^m) = x mod f and gcd(x^(p^(m/r)) - x, f) = 1 for each prime r | m."""
-    if len(modulus) != m + 1 or modulus[-1] != 1:
-        return False
     x = _zp_mod([0, 1], modulus, p)
     for r in _prime_divisors(m):
         h = _zp_powmod(x, p ** (m // r), modulus, p) + [0, 0]
@@ -141,15 +130,26 @@ def _zp_irreducible(modulus, p, m) -> bool:
 
 @dataclass(frozen=True)
 class FieldParams:
-    """The field F_{p^m}; immutable, hashable, safe to share between threads."""
+    """The field F_{p^m}, named by (p, m); immutable, hashable, safe to share
+    between threads."""
 
     p: int
     m: int
-    modulus: tuple  # m+1 ints, constant term first, monic
 
     @property
     def q(self) -> int:
         return self.p ** self.m
+
+    @cached_property
+    def modulus(self) -> tuple:
+        """The monic irreducible of degree m that mul reduces by, constant
+        term first: x for m = 1, else x^m plus the polynomial whose
+        coefficients are the base-p digits of the first a = 1, 2, ... for
+        which the sum passes Rabin's test."""
+        if self.m == 1:
+            return (0, 1)
+        return next(c for c in (tuple(_digits(self, a)) + (1,) for a in range(1, self.q))
+                    if _zp_irreducible(c, self.p, self.m))
 
     def __repr__(self):
         if self.m == 1:
@@ -157,8 +157,8 @@ class FieldParams:
         return f"GF({self.p}^{self.m})"
 
 
-def make_field(p: int, m: int = 1, modulus=None) -> FieldParams:
-    """Validated field parameters; raises on bad p or a reducible modulus."""
+def make_field(p: int, m: int = 1) -> FieldParams:
+    """Validated field parameters; raises on a bad p or m."""
     if not is_prime(p):
         raise NonPrimeError(p)
     if m < 1:
@@ -166,21 +166,7 @@ def make_field(p: int, m: int = 1, modulus=None) -> FieldParams:
     if m > MAX_M or p ** m > 1 << MAX_M:
         raise InvalidParameterError(
             f"field of {p}^{m} elements is above 2^{MAX_M}: m={m} is too large")
-    if modulus is not None:
-        modulus = _trim([int(c) % p for c in modulus])
-        if len(modulus) != m + 1:
-            raise InvalidParameterError(
-                f"modulus {modulus} has degree {len(modulus) - 1} mod {p}, not m={m}")
-    if m == 1:
-        return FieldParams(p, 1, (0, 1))
-    if modulus is None:
-        if (p, m) not in DEFAULT_MODULI:
-            raise NoDefaultModulusError(p, m)
-        modulus = DEFAULT_MODULI[(p, m)]
-    modulus = tuple(modulus)
-    if not _zp_irreducible(list(modulus), p, m):
-        raise NotIrreducibleError(modulus)
-    return FieldParams(p, m, modulus)
+    return FieldParams(p, m)
 
 
 def _digits(f: FieldParams, a: int) -> list:

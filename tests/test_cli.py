@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from bsym import cli, codes
+from bsym import cli, codes, gf
 from bsym.cli import main
 
 GOLDEN = "0,0,1,3,0,5,0,0,0,2,0,7,0,0,0"
@@ -126,7 +126,7 @@ def test_table_no_brute_rows_meet_the_singleton_bound(capsys):
 
 def test_table_extension_field(capsys):
     code, out, _ = run(capsys, "table", "--p", "2", "--e", "2", "--m", "2",
-                       "--modulus", "1,1,1", "--b", "2", "--format", "json")
+                       "--b", "2", "--format", "json")
     assert code == 0
     assert all(r["consistent"] for r in json.loads(out))
 
@@ -190,7 +190,6 @@ def test_table_bad_range(capsys, option):
 @pytest.mark.parametrize("argv,needle", [
     (["--e", "0", "--i", "0"], "e=0"),
     (["--e", "2", "--m", "0", "--i", "0"], "m=0"),
-    (["--e", "2", "--m", "2", "--modulus", "1,x", "--i", "0"], "1,x"),
 ])
 def test_code_bad_parameters_one_line(capsys, argv, needle):
     code, out, err = run(capsys, "code", "--p", "3", "--b", "2", *argv)
@@ -199,8 +198,8 @@ def test_code_bad_parameters_one_line(capsys, argv, needle):
 
 
 @pytest.mark.parametrize("argv,needle", [
-    (["--p", "3", "--e", "2", "--m", "1", "--modulus", "1,2,3,4"], "degree 3"),
-    (["--p", "2", "--e", "2", "--m", "3", "--modulus", "1,1,1"], "degree 2"),
+    (["--p", "4", "--e", "1"], "p=4 is not prime"),
+    (["--p", "3", "--e", "1", "--m", "81"], "3^81 elements is above 2^128"),
     (["--p", str(3317044064679887385961981), "--e", "1"], "too large"),
 ])
 def test_code_refuses_field_one_line(capsys, argv, needle):
@@ -413,13 +412,48 @@ def test_table_refuses_more_than_max_rows(tmp_path, capsys, argv, fmt):
 
 
 def test_code_refuses_a_large_extension_degree_one_line(capsys):
-    modulus = ",".join(["1"] + ["0"] * 31 + ["1"] + ["0"] * 488 + ["1"])  # x^521 + x^32 + 1
     t0 = time.perf_counter()
     code, out, err = run(capsys, "code", "--p", "2", "--e", "1", "--m", "521",
-                         "--modulus", modulus, "--i", "0", "--b", "2", "--method", "closed")
+                         "--i", "0", "--b", "2", "--method", "closed")
     assert time.perf_counter() - t0 < 1.0
     assert code == 1 and out == ""
     assert err.count("\n") == 1 and "m=521" in err
+
+
+def test_code_over_the_largest_field_does_not_search_for_a_modulus(capsys):
+    """No row multiplies in F_{2^128}, so its modulus, ~10 s to find, is never sought."""
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "code", "--p", "2", "--e", "1", "--m", "128",
+                         "--i", "1", "--b", "2", "--method", "closed")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 0 and err == "" and "consistent=True" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "--p", "2", "--e", "3", "--m", "2", "--b", "2..4"],
+    ["code", "--p", "3", "--e", "2", "--m", "2", "--i", "4", "--b", "2", "--method", "both"],
+    ["code", "--p", "5", "--e", "1", "--m", "2", "--i", "2", "--b", "2", "--method", "both"],
+    ["verify", "--suite", "code", "--trials", "10"],
+])
+def test_no_command_reads_the_modulus(capsys, monkeypatch, argv):
+    """Every row is modulus-free (see the README), and no command multiplies
+    two elements of F_{p^m}, so none reads or searches for a modulus."""
+    def unread(f):
+        raise AssertionError(f"the modulus of {f!r} was read")
+    monkeypatch.setattr(gf.FieldParams, "modulus", property(unread))
+    assert run(capsys, *argv)[0] == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["code", "--p", "2", "--e", "2", "--m", "2", "--modulus", "1,1,1", "--i", "1",
+     "--b", "2"],
+    ["verify", "--suite", "lemma", "--trials", "10", "--format", "json"],
+])
+def test_removed_options_are_refused_one_line(capsys, argv):
+    """A field is (p, m), and verify prints JSON only: neither takes an option."""
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "unrecognized arguments" in err
 
 
 def test_code_large_prime_with_a_large_index_is_fast(capsys):
@@ -485,15 +519,6 @@ def test_main_reads_a_word_that_starts_with_a_minus_sign_from_sys_argv(
                                       "--y", "-1,0,0"])
     assert main() == 0
     assert capsys.readouterr().out == "formula=2 oracle=2 match=true\n"
-
-
-def test_a_modulus_may_start_with_a_minus_sign(capsys):
-    """-1 + x + x^2 is x^2 + x + 2 over F_3."""
-    base = ["code", "--p", "3", "--e", "1", "--m", "2", "--i", "1", "--b", "2",
-            "--method", "closed"]
-    expected = run(capsys, *base, "--modulus", "2,1,1")
-    assert expected[0] == 0 and expected[2] == ""
-    assert run(capsys, *base, "--modulus", "-1,1,1") == expected
 
 
 @pytest.mark.parametrize("argv,option", [

@@ -1,7 +1,7 @@
 """The exit contract of `bsym` over its argument grammar.
 
 Every subcommand is driven in process with small, zero, negative, huge and
-malformed integers, malformed ranges, words and moduli, malformed BSYM_CAP
+malformed integers, malformed ranges and words, malformed BSYM_CAP
 values, and argument lists with no grammar at all.
 Whatever the input, main() returns 0, 1 or 2, raises nothing, and on 1
 prints exactly one line on stderr and nothing on stdout.
@@ -49,8 +49,6 @@ words = st.one_of(
     valid_words, valid_words,
     st.lists(ints, min_size=1, max_size=12).map(lambda s: ",".join(map(str, s))),
     st.sampled_from(["", ",", "1,,2", "x", "1;2", "0, 1"]), text)
-moduli = st.one_of(st.lists(small, max_size=8).map(lambda s: ",".join(map(str, s))),
-                   st.lists(ints, max_size=8).map(lambda s: ",".join(map(str, s))), text)
 caps = st.integers(-2, 300).map(str)
 env_caps = st.one_of(caps, caps, caps, st.sampled_from(["abc", "1.5", " 7", "-0", "0x10"]))
 
@@ -63,17 +61,17 @@ def _command(name, required, optional):
                             for k, v in ((k.replace("_", "-"), v) for k, v in d.items())])
 
 
-def _commands(ints, primes, words, ranges, moduli):
+def _commands(ints, primes, words, ranges):
     return [
         _command("pi", {"b": ints, "word": words}, {"n": ints}),
         _command("dist", {"b": ints, "x": words, "y": words},
                  {"method": st.sampled_from(["formula", "oracle", "both"])}),
         _command("code", {"p": primes, "e": ints, "i": ints, "b": ints},
-                 {"m": ints, "modulus": moduli, "cap": caps,
+                 {"m": ints, "cap": caps,
                   "method": st.sampled_from(["closed", "brute", "both"]),
                   "format": st.sampled_from(["plain", "csv", "json"])}),
         _command("table", {"p": primes, "e": ints, "b": ranges, "i": ranges},
-                 {"m": ints, "modulus": moduli, "cap": caps,
+                 {"m": ints, "cap": caps,
                   "format": st.sampled_from(["csv", "json"]), "no_brute": st.none()}),
     ]
 
@@ -107,7 +105,7 @@ plausible = [
 ]
 quick_commands = st.one_of(
     *plausible, *plausible,
-    *_commands(ints, primes, words, ranges, moduli),
+    *_commands(ints, primes, words, ranges),
     st.lists(st.sampled_from(["pi", "code", "table", "--p", "--b", "--i", "--x", "3",
                               "-1", "x", "--", "--method=brute", "--format=xml"]),
              max_size=6),

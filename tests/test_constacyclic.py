@@ -21,10 +21,11 @@ from bsym.polyring import poly, poly_mul
 
 MAX_CODEWORDS = 2 ** 12
 
-# (field, e): m = 1 and m = 2, every code of each length with q^k <= 2^12
+# (field, e): m = 1 and m = 2, every code of each length with q^k <= 2^12;
+# F_25 multiplies by its searched modulus x^2 + 2
 CASES = [(make_field(3), 1), (make_field(3), 2), (make_field(5), 1), (make_field(7), 1),
          (make_field(2, 2), 2), (make_field(2, 2), 3), (make_field(3, 2), 1),
-         (make_field(3, 2), 2)]
+         (make_field(3, 2), 2), (make_field(5, 2), 1)]
 
 
 def _neg(f, a):

@@ -5,12 +5,7 @@ import time
 import pytest
 
 from bsym import gf
-from bsym.errors import (
-    InvalidParameterError,
-    NoDefaultModulusError,
-    NonPrimeError,
-    NotIrreducibleError,
-)
+from bsym.errors import InvalidParameterError, NonPrimeError
 from bsym.gf import make_field
 
 SMALL_FIELDS = [make_field(2), make_field(3), make_field(5), make_field(7),
@@ -35,14 +30,10 @@ def test_make_field_prime():
 
 
 def test_make_field_f4():
-    f = make_field(2, 2, [1, 1, 1])
-    assert f.q == 4
-
-
-def test_make_field_rejects_reducible():
-    # x^2 + 1 = (x+1)^2 over Z_2
-    with pytest.raises(NotIrreducibleError):
-        make_field(2, 2, [1, 0, 1])
+    f = make_field(2, 2)
+    assert f.q == 4 and f.modulus == (1, 1, 1)
+    # a field is (p, m): the cached modulus takes no part in == or hash
+    assert f == make_field(2, 2) and hash(f) == hash(make_field(2, 2))
 
 
 def _irreducible_by_trial_division(c, p):
@@ -79,15 +70,14 @@ def test_rabin_test_matches_trial_division(p, m_max, top_count):
 def test_large_irreducible_modulus_is_fast():
     modulus = [1, 1] + [0] * 125 + [1]          # x^127 + x + 1
     t0 = time.perf_counter()
-    f = make_field(2, 127, modulus)
+    assert gf._zp_irreducible(modulus, 2, 127)
     assert time.perf_counter() - t0 < 0.5
-    assert f.q == 2 ** 127
 
 
 def test_largest_field_passes_rabins_test_in_under_a_second():
     modulus = [1, 1, 1, 0, 0, 0, 0, 1] + [0] * 120 + [1]   # x^128 + x^7 + x^2 + x + 1
     t0 = time.perf_counter()
-    assert make_field(2, gf.MAX_M, modulus).q == 2 ** 128
+    assert gf._zp_irreducible(modulus, 2, gf.MAX_M)
     assert time.perf_counter() - t0 < 1.0
 
 
@@ -96,15 +86,41 @@ def test_largest_field_passes_rabins_test_in_under_a_second():
 def test_make_field_refuses_q_above_2_to_the_max_m(p, m):
     t0 = time.perf_counter()
     with pytest.raises(InvalidParameterError):
-        make_field(p, m, [1] + [0] * (m - 1) + [1] if m < 1000 else None)
+        make_field(p, m)
     assert time.perf_counter() - t0 < 0.1
 
 
-@pytest.mark.parametrize("p,m", [(3, 80), (5, 55), (10 ** 18 + 3, 2)])
-def test_make_field_tests_a_modulus_below_the_bound(p, m):
-    # x^m is reducible; reaching Rabin's test shows the bound let it through
-    with pytest.raises(NotIrreducibleError):
-        make_field(p, m, [0] * m + [1])
+@pytest.mark.parametrize("p,m", [(2, gf.MAX_M), (3, 80), (5, 55), (10 ** 18 + 3, 2)])
+def test_make_field_accepts_q_up_to_2_to_the_max_m(p, m):
+    """The modulus is not searched for here: at (2, 128) that takes ~10 s."""
+    t0 = time.perf_counter()
+    f = make_field(p, m)
+    assert time.perf_counter() - t0 < 0.1
+    assert f.q <= 2 ** gf.MAX_M and "modulus" not in vars(f)
+
+
+# every (p, m) with m >= 2 and q <= 2^10
+SEARCHED = [(p, m) for p in range(2, 32) if gf.is_prime(p)
+            for m in range(2, 11) if p ** m <= 2 ** 10]
+
+
+@pytest.mark.parametrize("p,m", SEARCHED)
+def test_searched_modulus_is_monic_irreducible_of_degree_m(p, m):
+    modulus = make_field(p, m).modulus
+    assert len(modulus) == m + 1 and modulus[-1] == 1
+    assert all(0 <= c < p for c in modulus)
+    assert _irreducible_by_trial_division(list(modulus), p)
+
+
+@pytest.mark.parametrize("p,m,modulus", [
+    (2, 2, (1, 1, 1)),           # x^2 + x + 1
+    (2, 3, (1, 1, 0, 1)),        # x^3 + x + 1, not its reciprocal x^3 + x^2 + 1
+    (3, 2, (1, 0, 1)),           # x^2 + 1
+    (5, 2, (2, 0, 1)),           # x^2 + 2, since x^2 + 1 = (x - 2)(x + 2)
+])
+def test_searched_modulus_is_the_first_candidate_that_passes(p, m, modulus):
+    """The moduli of F_4, F_8 and F_9 are the ones that were built in."""
+    assert make_field(p, m).modulus == modulus
 
 
 @pytest.mark.parametrize("degrees", [(10, 11), (10, 10)])
@@ -119,8 +135,6 @@ def test_reducible_modulus_without_small_factor(degrees):
     assert _irreducible_by_trial_division(b, 2)
     modulus = _zp_product(a, b, 2)
     assert not gf._zp_irreducible(modulus, 2, sum(degrees))
-    with pytest.raises(NotIrreducibleError):
-        make_field(2, sum(degrees), modulus)
 
 
 def test_make_field_rejects_nonprime():
@@ -168,27 +182,6 @@ def test_is_prime_refuses_p_above_its_exact_range():
         gf.is_prime(gf.MR_LIMIT)
     with pytest.raises(InvalidParameterError):
         make_field(2 ** 89 - 1)
-
-
-@pytest.mark.parametrize("p,m,modulus", [
-    (3, 1, [1, 2, 3, 4]),        # degree 3 mod 3
-    (2, 3, [1, 1, 1]),           # degree 2
-    (2, 2, [1, 1, 2]),           # x + 1 once reduced mod 2
-    (3, 1, [0, 3]),              # the zero polynomial mod 3
-])
-def test_make_field_refuses_a_modulus_of_the_wrong_degree(p, m, modulus):
-    with pytest.raises(InvalidParameterError):
-        make_field(p, m, modulus)
-
-
-def test_make_field_accepts_a_modulus_of_degree_m():
-    assert make_field(3, 1, [1, 1]) == make_field(3)
-    assert make_field(2, 2, [1, 1, 1, 2]) == make_field(2, 2)
-
-
-def test_make_field_no_default_modulus():
-    with pytest.raises(NoDefaultModulusError):
-        make_field(7, 3)
 
 
 def test_f4_multiplication():

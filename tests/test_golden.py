@@ -3,9 +3,9 @@
 Each command runs in a fresh interpreter with PYTHONPATH=src.  The digests
 fix the exact bytes of the verify JSON for three seeds, the CSV/JSON tables,
 the closed-form sweeps without brute force (up to length 2^8192, and its
-last ten rows, where the index split is deepest), one brute-force row over
-F_9, one over a generator of degree 4080, the word paths of `pi` and `dist`,
-and the three demos; any change to them is a change of output, not a
+last ten rows, where the index split is deepest), a table over F_25, one
+brute-force row over F_9, one over a generator of degree 4080, the word
+paths of `pi` and `dist`, and the three demos; any change to them is a change of output, not a
 refactoring.  The three benchmark workloads are among them, each with the
 digest of perfbench/recorded.json: `verify --suite all --seed 42 --trials
 100000` (1,653 refills of the seeded streams), `table --p 2 --e 4 --b 2..6
@@ -43,6 +43,9 @@ GOLDEN = [
     (CLI + ["table", "--p", "2", "--e", "3", "--m", "2", "--b", "2..4",
             "--format", "json"],
      "a590a7b1b820cac98f8202ff906294d7e7892d4bc469c17329cf648bf4aa6385"),
+    (CLI + ["table", "--p", "5", "--e", "1", "--m", "2", "--b", "2..5", "--i", "2..5",
+            "--format", "csv"],
+     "9b86a1596114167e3491fda6886a63da67b1681637fd94a91c7e23a453496914"),
     (CLI + ["code", "--p", "3", "--e", "2", "--m", "2", "--i", "4", "--b", "2",
             "--method", "brute"],
      "a4c3b615e80fe8edc2ecede615bf2fbb78eb501a0e0ce36670b52f2842f6ce8e"),
