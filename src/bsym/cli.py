@@ -223,9 +223,9 @@ def _join_list_values(argv: list) -> list:
     """argv with `--y -1,2,0` written as `--y=-1,2,0`.
 
     argparse takes an argument that starts with "-" and is not a plain number
-    for an option, so a word whose first entry is negative would
-    leave its option without a value.  Only "-" followed by a digit is joined,
-    so `--x --y 1,2` still reports the missing value of --x.
+    for an option, so a word whose first entry is negative would leave its
+    option without a value.  Only "-" followed by a digit is joined, so
+    `--x --y 1,2` still reports the missing value of --x.
     """
     joined = []
     for arg in argv:
