@@ -27,11 +27,7 @@ from dataclasses import dataclass
 from itertools import compress
 from operator import itemgetter, ne, truth
 
-from .errors import (
-    HypothesisViolatedError,
-    LengthMismatchError,
-    WidthOutOfRangeError,
-)
+from .errors import InvalidParameterError
 
 
 @dataclass(frozen=True)
@@ -63,12 +59,12 @@ _LANES = {}    # n -> 0x7F and 0x80 in each of n byte lanes, for <= 64 lengths
 
 def _check_width(b: int, n: int, lo: int = 1):
     if not (lo <= b <= n):
-        raise WidthOutOfRangeError(b, n, lo)
+        raise InvalidParameterError(f"read width b={b} outside {lo}..{n} for length n={n}")
 
 
 def _check_pair(x: tuple, y: tuple):
     if len(x) != len(y):
-        raise LengthMismatchError(f"lengths {len(x)} != {len(y)}")
+        raise InvalidParameterError(f"lengths {len(x)} != {len(y)}")
 
 
 def pi_b(x: tuple, b: int):
@@ -234,7 +230,7 @@ def _bounds(s: tuple, b: int, w_b: int):
     n = len(s)
     w_h = n - s.count(0)
     if not (0 < w_h <= n - (b - 1)):
-        raise HypothesisViolatedError(
+        raise InvalidParameterError(
             f"hamming weight {w_h} outside (0, {n - (b - 1)}]"
         )
     lower = w_h + b - 1

@@ -15,7 +15,7 @@ from itertools import chain
 from . import codes, engine, verify
 from .bsymbol import dist_b_formula, dist_b_oracle, windows_b
 from .codes import CyclicCodeSpec, build_record, record_to_dict
-from .errors import BsymError, IndexOutOfRangeError, UsageError
+from .errors import BsymError, InvalidParameterError, UsageError
 from .gf import make_field
 
 MAX_TABLE_ROWS = 2 ** 20     # i values times widths; p = 2, e = 16 has 65,537 a width
@@ -59,7 +59,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p_pi = sub.add_parser("pi", help="print the b-symbol read vector of a word")
-    p_pi.add_argument("--n", type=int, default=None)
     p_pi.add_argument("--b", type=int, required=True)
     p_pi.add_argument("--word", required=True)
 
@@ -78,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_code.add_argument("--b", type=int, required=True)
     p_code.add_argument("--method", choices=["closed", "brute", "both"],
                         default="both")
-    p_code.add_argument("--cap", type=int, default=None)
+    p_code.add_argument("--cap", type=int, default=engine.DEFAULT_CAP)
     p_code.add_argument("--format", choices=["plain", "csv", "json"],
                         default="plain")
 
@@ -90,22 +89,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--i", default=None, help="range a..b; default 0..p^e")
     p_table.add_argument("--format", choices=["csv", "json"], default="csv")
     p_table.add_argument("--out", default=None)
-    p_table.add_argument("--cap", type=int, default=None)
+    p_table.add_argument("--cap", type=int, default=engine.DEFAULT_CAP)
     p_table.add_argument("--no-brute", action="store_true")
 
     p_ver = sub.add_parser("verify", help="run the formula-vs-oracle suites")
     p_ver.add_argument("--suite", choices=["all", *verify.SUITES], default="all")
     p_ver.add_argument("--seed", type=int, default=42)
     p_ver.add_argument("--trials", type=int, default=100_000)
-    p_ver.add_argument("--cap", type=int, default=None)
+    p_ver.add_argument("--cap", type=int, default=engine.DEFAULT_CAP)
 
     return ap
 
 
 def _cmd_pi(args) -> int:
     w = parse_generic_word(args.word)
-    if args.n is not None and args.n != len(w):
-        raise UsageError(f"--n {args.n} does not match word length {len(w)}")
     for window in windows_b(w, args.b):       # printed as built
         print(",".join(map(str, window)))
     return 0
@@ -128,9 +125,9 @@ def _cmd_dist(args) -> int:
 
 
 def _cap(args) -> int:
-    if args.cap is None:
-        return engine.enumeration_cap()
-    return engine.check_cap(args.cap, "--cap")
+    if args.cap < 1:
+        raise InvalidParameterError(f"--cap must be an integer >= 1, got {args.cap}")
+    return args.cap
 
 
 def _emit_records(records, fmt: str, out_path) -> bool:
@@ -194,7 +191,7 @@ def _cmd_table(args) -> int:
     spec = CyclicCodeSpec(f, args.e, i_lo)
     first = [build_record(spec, b, cap, with_brute) for b in widths]
     if i_hi > n:
-        raise IndexOutOfRangeError(f"i={i_hi} outside [0, {n}]")
+        raise InvalidParameterError(f"i={i_hi} outside [0, {n}]")
     rest = (build_record(CyclicCodeSpec(f, args.e, i), b, cap, with_brute)
             for i in range(i_lo + 1, i_hi + 1) for b in widths)
     return 0 if _emit_records(chain(first, rest), args.format, args.out) else 2
@@ -216,15 +213,16 @@ _COMMANDS = {
 }
 
 
-_LIST_OPTIONS = ("--x", "--y", "--word")
+_LIST_OPTIONS = ("--x", "--y", "--word", "--i", "--b")
 
 
 def _join_list_values(argv: list) -> list:
-    """argv with `--y -1,2,0` written as `--y=-1,2,0`.
+    """argv with `--y -1,2,0` written as `--y=-1,2,0`, and `--i -1..2` as
+    `--i=-1..2`.
 
     argparse takes an argument that starts with "-" and is not a plain number
-    for an option, so a word whose first entry is negative would leave its
-    option without a value.  Only "-" followed by a digit is joined, so
+    for an option, so a word or a range whose first entry is negative would
+    leave its option without a value.  Only "-" followed by a digit is joined, so
     `--x --y 1,2` still reports the missing value of --x.
     """
     joined = []

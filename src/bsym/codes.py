@@ -17,14 +17,8 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 from . import engine, gf
-from .bsymbol import weight_b_oracle
-from .errors import (
-    DegreeTooLargeError,
-    IndexOutOfRangeError,
-    InvalidParameterError,
-    WidthOutOfRangeError,
-    WidthTooLargeError,
-)
+from .bsymbol import _check_width, weight_b_oracle
+from .errors import InvalidParameterError
 from .gf import FieldParams
 from .polyring import poly_mul, to_word, xminus1_pow
 
@@ -50,7 +44,7 @@ class CyclicCodeSpec:
                 f"length p^e = {self.p}^{self.e} is above 2^{MAX_LENGTH_BITS}")
         object.__setattr__(self, "n", n)
         if not (0 <= self.i <= self.n):
-            raise IndexOutOfRangeError(f"i={self.i} outside [0, {self.n}]")
+            raise InvalidParameterError(f"i={self.i} outside [0, {self.n}]")
 
     @property
     def p(self) -> int:
@@ -128,7 +122,7 @@ def hamming_distance_formula(spec: CyclicCodeSpec) -> int:
     return ((i2 - 1) // step + 2) * spec.p ** k
 
 
-def enumerate_codewords(spec: CyclicCodeSpec, cap: int | None = None):
+def enumerate_codewords(spec: CyclicCodeSpec, cap: int = engine.DEFAULT_CAP):
     """All q^{k_dim} codewords as tuples, in deterministic message order."""
     engine.refuse_above_cap(spec, cap)
     f = spec.field
@@ -153,12 +147,10 @@ def enumerate_codewords(spec: CyclicCodeSpec, cap: int | None = None):
 
 
 def min_b_weight_bruteforce(
-    spec: CyclicCodeSpec, b: int, cap: int | None = None
+    spec: CyclicCodeSpec, b: int, cap: int = engine.DEFAULT_CAP
 ) -> int:
     """Minimum nonzero b-weight over all codewords (d_b(C) by linearity)."""
-    n = spec.n
-    if not (1 <= b <= n):
-        raise WidthOutOfRangeError(b, n, 1)
+    _check_width(b, spec.n)
     if spec.i == spec.n:
         return 0
     engine.refuse_above_cap(spec, cap)
@@ -186,8 +178,7 @@ def closed_form_db(spec: CyclicCodeSpec, b: int) -> ClosedFormResult:
 
 def _closed_form(spec: CyclicCodeSpec, b: int, d_h: int) -> ClosedFormResult:
     p, e, i, n = spec.p, spec.e, spec.i, spec.n
-    if not (2 <= b <= n):
-        raise WidthOutOfRangeError(b, n, 2)
+    _check_width(b, n, lo=2)
     exact = []  # (rule, value), in precedence order
     if i == n:
         exact.append(("ZeroCode", 0))
@@ -269,9 +260,9 @@ def lemma10_weight(f: FieldParams, e: int, k: int, g: tuple, b: int) -> int:
     period = p ** (e - k)
     n = p ** e
     if d >= period:
-        raise DegreeTooLargeError(f"deg(g)={d} must be < {period}")
+        raise InvalidParameterError(f"deg(g)={d} must be < {period}")
     if b > period:
-        raise WidthTooLargeError(f"b={b} must be <= p^(e-k) = {period}")
+        raise InvalidParameterError(f"b={b} must be <= p^(e-k) = {period}")
     w_b_g = weight_b_oracle(to_word(f, g, n), b)
     a = 0
     while g[a] == 0:
@@ -291,7 +282,7 @@ def lemma10_codeword(f: FieldParams, e: int, k: int, g: tuple) -> tuple:
 def build_record(
     spec: CyclicCodeSpec,
     b: int,
-    cap: int | None = None,
+    cap: int = engine.DEFAULT_CAP,
     with_brute: bool = True,
 ) -> DistanceRecord:
     """One verification row: formulas, optional brute value, its checks."""

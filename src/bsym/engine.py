@@ -8,32 +8,14 @@ field and generator(); nothing here imports `codes`, whose
 `enumerate_codewords` is the slow reference.
 """
 
-import os
 from itertools import islice
 
-from .errors import EnumerationTooLargeError, InvalidCapError, PackedWordTooLargeError
+from .errors import EnumerationTooLargeError
 
 DEFAULT_CAP = 2 ** 22
 MAX_PACKED_BITS = 2 ** 22    # the largest packed codeword, W * n bits (see _field_bits)
 _FAMILIES = 16               # the (field, e) families whose minima are kept
 _minima = {}                 # (field, e) -> {i: (0, d_1, ..., d_n)}, least recent first
-
-
-def check_cap(value, source: str) -> int:
-    """`value` as an enumeration cap: an integer >= 1, else InvalidCapError."""
-    try:
-        cap = int(value)
-    except (TypeError, ValueError):
-        raise InvalidCapError(source, value) from None
-    if cap < 1:
-        raise InvalidCapError(source, value)
-    return cap
-
-
-def enumeration_cap() -> int:
-    """Default brute-force cap, overridable via the BSYM_CAP environment var."""
-    env = os.environ.get("BSYM_CAP")
-    return check_cap(env, "BSYM_CAP") if env else DEFAULT_CAP
 
 
 def _too_many(spec, cap: int) -> bool:
@@ -60,16 +42,18 @@ def above_cap(spec, cap: int) -> bool:
     return _too_many(spec, cap) or _too_wide(spec)
 
 
-def refuse_above_cap(spec, cap: int | None):
-    """Raise EnumerationTooLargeError above `cap`, then PackedWordTooLargeError
-    above MAX_PACKED_BITS, before anything of size n is built; None is
-    `enumeration_cap()`."""
-    cap = enumeration_cap() if cap is None else cap
+def refuse_above_cap(spec, cap: int):
+    """Raise EnumerationTooLargeError above `cap` codewords or MAX_PACKED_BITS
+    bits a packed word, before anything of size n is built."""
     if _too_many(spec, cap):
-        raise EnumerationTooLargeError(spec.field.q, spec.k_dim, cap)
+        raise EnumerationTooLargeError(
+            f"code has {spec.field.q}^{spec.k_dim} codewords, "
+            f"above the enumeration cap {cap}")
     if _too_wide(spec):
-        raise PackedWordTooLargeError(spec.p, spec.e, _field_bits(spec.p),
-                                      MAX_PACKED_BITS)
+        raise EnumerationTooLargeError(
+            f"a codeword of length {spec.p}^{spec.e} packs into "
+            f"{_field_bits(spec.p)}*{spec.p}^{spec.e} bits, "
+            f"above the brute-force bound of {MAX_PACKED_BITS} bits")
 
 
 def _packing(p: int, n: int):

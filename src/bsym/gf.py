@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import InvalidParameterError, NonPrimeError
+from .errors import InvalidParameterError
 
 
 # Miller-Rabin with the first 13 primes as bases decides every p below this
@@ -160,7 +160,7 @@ class FieldParams:
 def make_field(p: int, m: int = 1) -> FieldParams:
     """Validated field parameters; raises on a bad p or m."""
     if not is_prime(p):
-        raise NonPrimeError(p)
+        raise InvalidParameterError(f"p={p} is not prime")
     if m < 1:
         raise InvalidParameterError(f"extension degree m={m} must be >= 1")
     if m > MAX_M or p ** m > 1 << MAX_M:

@@ -15,7 +15,7 @@ from functools import lru_cache
 from math import comb
 
 from . import gf
-from .errors import InvalidParameterError, NotAnElementError
+from .errors import InvalidParameterError
 from .gf import FieldParams, _trim
 
 
@@ -25,7 +25,8 @@ def poly(f: FieldParams, coeffs) -> tuple:
     coeffs = list(coeffs)
     for c in coeffs:
         if not (isinstance(c, int) and 0 <= c < f.q):
-            raise NotAnElementError(c, f)
+            raise InvalidParameterError(f"coefficient {c!r} is not an element of {f!r}: "
+                                        f"expected an int in range({f.q})")
     return tuple(_trim(coeffs))
 
 

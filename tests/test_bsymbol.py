@@ -21,11 +21,7 @@ from bsym.bsymbol import (
     weight_b_oracle,
     windows_b,
 )
-from bsym.errors import (
-    HypothesisViolatedError,
-    LengthMismatchError,
-    WidthOutOfRangeError,
-)
+from bsym.errors import InvalidParameterError
 from bsym.gf import make_field
 from bsym.polyring import to_word, xminus1_pow
 
@@ -63,7 +59,7 @@ def test_pi_full_wraparound():
 
 
 def test_pi_width_out_of_range():
-    with pytest.raises(WidthOutOfRangeError):
+    with pytest.raises(InvalidParameterError, match="b=4 outside 1..3 for length n=3"):
         pi_b((1, 2, 3), 4)
 
 
@@ -71,7 +67,7 @@ def test_windows_b_is_pi_b_one_window_at_a_time():
     windows = windows_b(GOLDEN, 4)
     assert next(windows) == (0, 0, 1, 3)
     assert [(0, 0, 1, 3), *windows] == pi_b(GOLDEN, 4)
-    with pytest.raises(WidthOutOfRangeError):
+    with pytest.raises(InvalidParameterError, match="b=4 outside 1..3"):
         windows_b((1, 2, 3), 4)          # at the call, before any window
 
 
@@ -240,7 +236,7 @@ def test_golden_formula_decomposition():
 
 
 def test_length_mismatch():
-    with pytest.raises(LengthMismatchError):
+    with pytest.raises(InvalidParameterError, match="lengths 2 != 3"):
         dist_b_oracle((1, 2), (1, 2, 3), 2)
 
 
@@ -574,7 +570,7 @@ def test_xminus1_bound_z3():
 
 
 def test_bounds_hypothesis_violated():
-    with pytest.raises(HypothesisViolatedError):
+    with pytest.raises(InvalidParameterError, match=r"hamming weight 0 outside \(0, 2\]"):
         check_bounds((0, 0, 0), 2)
-    with pytest.raises(HypothesisViolatedError):
+    with pytest.raises(InvalidParameterError, match=r"hamming weight 4 outside \(0, 2\]"):
         check_bounds((1, 1, 1, 1), 3)  # w_H > n - (b-1)

@@ -51,11 +51,6 @@ def test_parse_generic_word_is_a_tuple():
     assert cli.parse_generic_word("-1,0,5") == (-1, 0, 5)
 
 
-def test_pi_n_mismatch(capsys):
-    code, _, err = run(capsys, "pi", "--n", "5", "--b", "2", "--word", "1,2,3")
-    assert code == 1 and "usage error" in err
-
-
 def test_code_row(capsys):
     code, out, _ = run(capsys, "code", "--p", "3", "--e", "2", "--i", "7",
                        "--b", "2", "--method", "both")
@@ -149,10 +144,9 @@ def test_verify_byte_identical_output(capsys):
     assert out1.encode() == out2.encode()
 
 
-def test_cap_env_override(monkeypatch, capsys):
-    monkeypatch.setenv("BSYM_CAP", "10")
+def test_cap_option_refuses_a_larger_code(capsys):
     code, _, err = run(capsys, "code", "--p", "3", "--e", "2", "--i", "0",
-                       "--b", "2", "--method", "both")
+                       "--b", "2", "--method", "both", "--cap", "10")
     assert code == 1
     assert "cap" in err
 
@@ -163,12 +157,11 @@ def test_bad_word(capsys):
 
 
 @pytest.mark.parametrize("value", ["abc", "-1", "0", "1.5"])
-def test_bad_cap_env_rejected(monkeypatch, capsys, value):
-    monkeypatch.setenv("BSYM_CAP", value)
+def test_bad_cap_rejected(capsys, value):
     code, out, err = run(capsys, "code", "--p", "3", "--e", "2", "--i", "4",
-                         "--b", "2", "--method", "brute")
+                         "--b", "2", "--method", "brute", "--cap", value)
     assert code == 1 and out == ""
-    assert err.count("\n") == 1 and "BSYM_CAP" in err
+    assert err.count("\n") == 1 and "--cap" in err
     assert "above the enumeration cap" not in err
 
 
@@ -242,9 +235,8 @@ def test_cap_refusal_is_one_short_line(capsys):
     assert "1009^1006 codewords" in err
 
 
-def test_verify_honours_cap_env(monkeypatch, capsys):
-    monkeypatch.setenv("BSYM_CAP", "100")
-    code, out, _ = run(capsys, "verify", "--suite", "code")
+def test_verify_honours_the_cap(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "code", "--cap", "100")
     assert code == 0
     report = json.loads(out)["code"]
     assert report["passed"] and report["coverage"]["skipped_cap"] > 0
@@ -256,11 +248,27 @@ def test_verify_default_cap_skips_nothing(capsys):
     assert "skipped_cap" not in json.loads(out)["bounds"]["coverage"]
 
 
-def test_verify_bad_cap_env(monkeypatch, capsys):
-    monkeypatch.setenv("BSYM_CAP", "abc")
-    code, out, err = run(capsys, "verify", "--suite", "code")
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_verify_bad_cap(capsys, value):
+    code, out, err = run(capsys, "verify", "--suite", "code", "--cap", value)
     assert code == 1 and out == ""
-    assert err.count("\n") == 1 and "BSYM_CAP" in err
+    assert err.count("\n") == 1 and "--cap" in err
+
+
+def test_no_environment_variable_sets_the_cap():
+    """--cap alone sets the cap: verify prints the same bytes whatever
+    BSYM_ variables its environment holds."""
+    root = Path(__file__).resolve().parent.parent
+    env = {k: v for k, v in os.environ.items() if not k.startswith("BSYM_")}
+    env["PYTHONPATH"] = str(root / "src")
+    argv = [sys.executable, "-m", "bsym.cli", "verify", "--suite", "code",
+            "--seed", "42", "--trials", "10"]
+    plain = subprocess.run(argv, env=env, capture_output=True, timeout=120)
+    set_to_1 = {f"BSYM_{name}": "1" for name in ("CAP", "SEED", "TRIALS")}
+    noisy = subprocess.run(argv, env={**env, **set_to_1}, capture_output=True,
+                           timeout=120)
+    assert plain.returncode == noisy.returncode == 0
+    assert noisy.stdout == plain.stdout
 
 
 def test_verify_bad_trials_one_line(capsys):
@@ -309,7 +317,6 @@ def test_cap_refusal_does_not_build_the_code_size():
     # 2^(2^40 - 1) codewords; the child may not grow past 1 GiB
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    env.pop("BSYM_CAP", None)
     t0 = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "bsym.cli", "code", "--p", "2", "--e", "40",
@@ -362,11 +369,22 @@ def test_table_names_the_given_i_above_n(tmp_path, capsys, fmt):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("option,line", [
+    ("--i", "error: i=-1 outside [0, 4]\n"),
+    ("--b", "error: read width b=-1 outside 2..4 for length n=4\n"),
+], ids=["i", "b"])
+def test_table_takes_a_range_that_starts_with_a_minus_sign(capsys, option, line):
+    """`--i -1..2` is the range -1..2, as `--i=-1..2` is, and is refused
+    for its first entry, not for a missing value."""
+    argv = ["table", "--p", "2", "--e", "2", *(["--b", "2"] if option == "--i" else [])]
+    assert run(capsys, *argv, option, "-1..2") == (1, "", line)
+    assert run(capsys, *argv, f"{option}=-1..2") == (1, "", line)
+
+
 def _peak_rss_mib(*argv: str) -> float:
     """Peak RSS of a fresh `bsym` process, which must exit 0."""
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    env.pop("BSYM_CAP", None)
     proc = subprocess.Popen(
         [sys.executable, "-m", "bsym.cli", *argv],
         env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
@@ -504,7 +522,7 @@ def test_dist_of_symbols_outside_a_byte(capsys, argv, expected):
     (["dist", "--x", "-1", "--y", "-2", "--b", "1"], "formula=1 oracle=1 match=true\n"),
     (["dist", "--b", "2", "--method", "oracle", "--y", "-3,0", "--x", "0,0"], "2\n"),
     (["pi", "--b", "2", "--word", "-1,0,5"], "-1,0\n0,5\n5,-1\n"),
-    (["pi", "--word", "-10", "--b", "1", "--n", "1"], "-10\n"),
+    (["pi", "--word", "-10", "--b", "1"], "-10\n"),
 ])
 def test_a_word_may_start_with_a_minus_sign(capsys, argv, expected):
     """A word whose first symbol is negative is its option's value whether it
@@ -553,3 +571,23 @@ def test_an_abbreviated_option_is_refused(capsys, argv):
 
 def test_the_full_name_takes_the_word_the_abbreviation_did_not(capsys):
     assert run(capsys, "pi", "--b", "2", "--word", "-1,0,5") == (0, "-1,0\n0,5\n5,-1\n", "")
+
+
+@pytest.mark.parametrize("argv,line", [
+    (["code", "--p", "4", "--e", "1", "--i", "0", "--b", "2"], "p=4 is not prime"),
+    (["dist", "--b", "0", "--x", "1,2", "--y", "1,2"],
+     "read width b=0 outside 1..2 for length n=2"),
+    (["dist", "--b", "2", "--x", "1,2", "--y", "1,2,3"], "lengths 2 != 3"),
+    (["code", "--p", "2", "--e", "3", "--i", "9", "--b", "2"], "i=9 outside [0, 8]"),
+    (["code", "--p", "3", "--e", "2", "--i", "4", "--b", "2", "--cap", "0"],
+     "--cap must be an integer >= 1, got 0"),
+    (["code", "--p", "1009", "--e", "1", "--i", "3", "--b", "2"],
+     "code has 1009^1006 codewords, above the enumeration cap 4194304"),
+    (["code", "--p", "2", "--e", "40", "--i", "1099511627773", "--b", "2",
+      "--method", "brute"],
+     "a codeword of length 2^40 packs into 1*2^40 bits, "
+     "above the brute-force bound of 4194304 bits"),
+], ids=["not-prime", "width", "lengths", "index", "bad-cap", "cap", "packed-word"])
+def test_refusal_lines(capsys, argv, line):
+    """Each kind of refusal, byte for byte: exit 1 and one line on stderr."""
+    assert run(capsys, *argv) == (1, "", f"error: {line}\n")

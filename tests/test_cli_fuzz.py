@@ -1,23 +1,23 @@
 """The exit contract of `bsym` over its argument grammar.
 
 Every subcommand is driven in process with small, zero, negative, huge and
-malformed integers, malformed ranges and words, malformed BSYM_CAP
-values, and argument lists with no grammar at all.
+malformed integers, malformed ranges, words and caps, and argument lists
+with no grammar at all.
 Whatever the input, main() returns 0, 1 or 2, raises nothing, and on 1
 prints exactly one line on stderr and nothing on stdout.
 
 Some values set how much work is asked for, so a large accepted one is a long
 run, not a bad input.  The grammar keeps them out: the enumeration cap is
-always small, `--trials` only small, zero or negative, `table` always gets an
-`--i` range (without one it has p^e + 1 rows), and no accepted length p^e
-comes near 2^8192, where a row takes about 0.1 s.  Each example must end
-within TIME_BOUND_S.  Under the default cap, a brute-force row of a code with
-few codewords of length 2^40 or 2^200 is refused with one line, not built.
+always small (`code`, `table` and `verify` always get a `--cap`), `--trials`
+only small, zero or negative, `table` always gets an `--i` range (without one
+it has p^e + 1 rows), and no accepted length p^e comes near 2^8192, where a
+row takes about 0.1 s.  Each example must end within TIME_BOUND_S.  Under the
+default cap, a brute-force row of a code with few codewords of length 2^40 or
+2^200 is refused with one line, not built.
 """
 
 import contextlib
 import io
-import os
 import signal
 
 import pytest
@@ -50,7 +50,7 @@ words = st.one_of(
     st.lists(ints, min_size=1, max_size=12).map(lambda s: ",".join(map(str, s))),
     st.sampled_from(["", ",", "1,,2", "x", "1;2", "0, 1"]), text)
 caps = st.integers(-2, 300).map(str)
-env_caps = st.one_of(caps, caps, caps, st.sampled_from(["abc", "1.5", " 7", "-0", "0x10"]))
+any_caps = st.one_of(caps, caps, caps, st.sampled_from(["abc", "1.5", " 7", "-0", "0x10"]))
 
 
 def _command(name, required, optional):
@@ -63,15 +63,16 @@ def _command(name, required, optional):
 
 def _commands(ints, primes, words, ranges):
     return [
-        _command("pi", {"b": ints, "word": words}, {"n": ints}),
+        _command("pi", {"b": ints, "word": words}, {}),
         _command("dist", {"b": ints, "x": words, "y": words},
                  {"method": st.sampled_from(["formula", "oracle", "both"])}),
-        _command("code", {"p": primes, "e": ints, "i": ints, "b": ints},
-                 {"m": ints, "cap": caps,
+        _command("code", {"p": primes, "e": ints, "i": ints, "b": ints, "cap": any_caps},
+                 {"m": ints,
                   "method": st.sampled_from(["closed", "brute", "both"]),
                   "format": st.sampled_from(["plain", "csv", "json"])}),
-        _command("table", {"p": primes, "e": ints, "b": ranges, "i": ranges},
-                 {"m": ints, "cap": caps,
+        _command("table", {"p": primes, "e": ints, "b": ranges, "i": ranges,
+                           "cap": any_caps},
+                 {"m": ints,
                   "format": st.sampled_from(["csv", "json"]), "no_brute": st.none()}),
     ]
 
@@ -91,17 +92,18 @@ lengths = st.integers(1, 8)
 code_options = {"p": st.sampled_from([2, 3, 5]), "e": st.integers(1, 3)}
 plausible = [
     lengths.flatmap(lambda n: _command(
-        "pi", {"b": st.integers(1, n), "word": _word(n)}, {"n": st.just(n)})),
+        "pi", {"b": st.integers(1, n), "word": _word(n)}, {})),
     lengths.flatmap(lambda n: _command(
         "dist", {"b": st.integers(1, n), "x": _word(n), "y": _word(n)}, {})),
     _command("code", {**code_options, "i": st.integers(0, 9), "b": st.integers(2, 6),
-                      "method": st.sampled_from(["closed", "both"])},
-             {"cap": caps, "format": st.sampled_from(["plain", "csv", "json"])}),
-    _command("table", {**code_options, "b": _range(2, 5), "i": _range(0, 9)},
-             {"cap": caps, "no_brute": st.none()}),
+                      "method": st.sampled_from(["closed", "both"]), "cap": caps},
+             {"format": st.sampled_from(["plain", "csv", "json"])}),
+    _command("table", {**code_options, "b": _range(2, 5), "i": _range(0, 9), "cap": caps},
+             {"no_brute": st.none()}),
     _command("code", {"p": st.sampled_from([2 ** 61 - 1, 10 ** 18 + 3]),
                       "e": st.integers(1, 2), "i": st.integers(10 ** 6, 10 ** 18),
-                      "b": st.integers(2, 6), "method": st.just("closed")}, {}),
+                      "b": st.integers(2, 6), "method": st.just("closed"), "cap": caps},
+             {}),
 ]
 quick_commands = st.one_of(
     *plausible, *plausible,
@@ -118,9 +120,9 @@ spaced_words = [
         lambda bw: ["pi", "--word", bw[1], "--b", str(bw[0])])),
 ]
 verify_commands = _command(
-    "verify", {"trials": small},
+    "verify", {"trials": small, "cap": any_caps},
     {"suite": st.sampled_from(["all", "formula", "code", "lemma", "bounds"]),
-     "seed": ints, "cap": caps})
+     "seed": ints})
 
 
 def _bounded(max_examples):
@@ -136,12 +138,9 @@ def _too_slow(signum, frame):
     raise _TooSlow(f"an example ran past {TIME_BOUND_S} s")
 
 
-def _check(argv, env_cap):
-    """main(argv) under BSYM_CAP=env_cap, or the default cap for None."""
+def _check(argv):
+    """main(argv), which must keep the exit contract within TIME_BOUND_S."""
     out, err = io.StringIO(), io.StringIO()
-    saved = os.environ.pop("BSYM_CAP", None)
-    if env_cap is not None:
-        os.environ["BSYM_CAP"] = env_cap
     handler = signal.signal(signal.SIGALRM, _too_slow)
     signal.alarm(TIME_BOUND_S)
     try:
@@ -150,9 +149,6 @@ def _check(argv, env_cap):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, handler)
-        os.environ.pop("BSYM_CAP", None)
-        if saved is not None:
-            os.environ["BSYM_CAP"] = saved
     assert code in (0, 1, 2), argv
     if code == 1:
         assert err.getvalue().count("\n") == 1 and out.getvalue() == "", argv
@@ -160,22 +156,22 @@ def _check(argv, env_cap):
 
 
 @_bounded(200)
-@given(argv=quick_commands, env_cap=env_caps)
-def test_any_arguments_keep_the_exit_contract(argv, env_cap):
-    _check(argv, env_cap)
+@given(argv=quick_commands)
+def test_any_arguments_keep_the_exit_contract(argv):
+    _check(argv)
 
 
 @_bounded(10)
-@given(argv=verify_commands, env_cap=env_caps)
-def test_any_verify_arguments_keep_the_exit_contract(argv, env_cap):
-    _check(argv, env_cap)
+@given(argv=verify_commands)
+def test_any_verify_arguments_keep_the_exit_contract(argv):
+    _check(argv)
 
 
 @_bounded(50)
 @given(argv=st.one_of(*spaced_words))
 def test_a_word_that_starts_with_a_minus_sign_is_read_as_a_word(argv):
     """--x -1,2,0 gives the word, as --x=-1,2,0 does: the command succeeds."""
-    code, out = _check(argv, "64")
+    code, out = _check(argv)
     assert code == 0, argv
     assert out.endswith("match=true\n") if argv[0] == "dist" else out, argv
 
@@ -192,4 +188,4 @@ LONG_CODES = [(e, str(2 ** e - 3)) for e in (40, 200)]
       for e, i in LONG_CODES),
 ], ids=[f"{cmd}-e{e}" for cmd in ("code", "table") for e, _ in LONG_CODES])
 def test_a_long_code_is_refused_under_the_default_cap(argv):
-    assert _check(argv, None) == (1, "")
+    assert _check(argv) == (1, "")

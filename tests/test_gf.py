@@ -5,7 +5,7 @@ import time
 import pytest
 
 from bsym import gf
-from bsym.errors import InvalidParameterError, NonPrimeError
+from bsym.errors import InvalidParameterError
 from bsym.gf import make_field
 
 SMALL_FIELDS = [make_field(2), make_field(3), make_field(5), make_field(7),
@@ -138,7 +138,7 @@ def test_reducible_modulus_without_small_factor(degrees):
 
 
 def test_make_field_rejects_nonprime():
-    with pytest.raises(NonPrimeError):
+    with pytest.raises(InvalidParameterError, match="p=4 is not prime"):
         make_field(4)
 
 
