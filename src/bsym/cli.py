@@ -12,7 +12,7 @@ import json
 import sys
 from itertools import chain
 
-from . import codes, engine, verify
+from . import engine, verify
 from .bsymbol import dist_b_formula, dist_b_oracle, windows_b
 from .codes import CyclicCodeSpec, build_record, record_to_dict
 from .errors import BsymError, InvalidParameterError, UsageError
@@ -133,14 +133,14 @@ def _cap(args) -> int:
 def _emit_records(records, fmt: str, out_path) -> bool:
     """Write each record as it comes; True when every one is consistent.
 
-    The JSON is the layout of json.dump(list, indent=2), one item at a time.
+    The CSV header is the first record's keys.  The JSON is the layout of
+    json.dump(list, indent=2), one item at a time.
     """
     consistent = True
     stream = open(out_path, "w", newline="") if out_path else sys.stdout
     try:
         if fmt == "csv":
             writer = csv.writer(stream)
-            writer.writerow(codes.CSV_COLUMNS)
         else:
             stream.write("[")
         rows = 0
@@ -148,9 +148,9 @@ def _emit_records(records, fmt: str, out_path) -> bool:
             d = record_to_dict(rec)
             consistent = consistent and d["consistent"]
             if fmt == "csv":
-                writer.writerow(
-                    ["" if d[c] is None else d[c] for c in codes.CSV_COLUMNS]
-                )
+                if not rows:
+                    writer.writerow(d.keys())
+                writer.writerow(["" if v is None else v for v in d.values()])
             else:
                 item = json.dumps(d, indent=2).replace("\n", "\n  ")
                 stream.write(f"{',' if rows else ''}\n  {item}")

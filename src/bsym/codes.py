@@ -304,9 +304,3 @@ def record_to_dict(rec: DistanceRecord) -> dict:
         "db_brute": rec.db_brute,
         "consistent": rec.consistent,
     }
-
-
-CSV_COLUMNS = [
-    "p", "e", "m", "i", "b", "n", "dim", "dH",
-    "db_rule", "db_closed", "db_lower", "db_upper", "db_brute", "consistent",
-]

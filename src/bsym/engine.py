@@ -8,6 +8,7 @@ field and generator(); nothing here imports `codes`, whose
 `enumerate_codewords` is the slow reference.
 """
 
+from functools import lru_cache
 from itertools import islice
 
 from .errors import EnumerationTooLargeError
@@ -15,15 +16,6 @@ from .errors import EnumerationTooLargeError
 DEFAULT_CAP = 2 ** 22
 MAX_PACKED_BITS = 2 ** 22    # the largest packed codeword, W * n bits (see _field_bits)
 _FAMILIES = 16               # the (field, e) families whose minima are kept
-_minima = {}                 # (field, e) -> {i: (0, d_1, ..., d_n)}, least recent first
-
-
-def _too_many(spec, cap: int) -> bool:
-    """q^k_dim > cap, without building q^k_dim when it is far above the cap:
-    q >= 2^(bl-1) for bl = q.bit_length(), so k_dim * (bl-1) >= the bit length
-    of the cap puts q^k_dim above it, and otherwise q^k_dim < cap^2."""
-    q, k = spec.field.q, spec.k_dim
-    return k * (q.bit_length() - 1) >= cap.bit_length() or q ** k > cap
 
 
 def _field_bits(p: int) -> int:
@@ -32,24 +24,20 @@ def _field_bits(p: int) -> int:
     return 1 if p == 2 else (p - 1).bit_length() + 1
 
 
-def _too_wide(spec) -> bool:
-    return _field_bits(spec.p) * spec.n > MAX_PACKED_BITS
-
-
-def above_cap(spec, cap: int) -> bool:
-    """True where `refuse_above_cap` refuses: q^k_dim > cap, or a packed word
-    of more than MAX_PACKED_BITS bits."""
-    return _too_many(spec, cap) or _too_wide(spec)
-
-
 def refuse_above_cap(spec, cap: int):
     """Raise EnumerationTooLargeError above `cap` codewords or MAX_PACKED_BITS
-    bits a packed word, before anything of size n is built."""
-    if _too_many(spec, cap):
+    bits a packed word, before anything of size n is built.
+
+    q^k_dim is not built when it is far above the cap: q >= 2^(bl-1) for
+    bl = q.bit_length(), so k_dim * (bl-1) >= the bit length of the cap puts
+    q^k_dim above it, and otherwise q^k_dim < cap^2.
+    """
+    q, k = spec.field.q, spec.k_dim
+    if k * (q.bit_length() - 1) >= cap.bit_length() or q ** k > cap:
         raise EnumerationTooLargeError(
-            f"code has {spec.field.q}^{spec.k_dim} codewords, "
+            f"code has {q}^{k} codewords, "
             f"above the enumeration cap {cap}")
-    if _too_wide(spec):
+    if _field_bits(spec.p) * spec.n > MAX_PACKED_BITS:
         raise EnumerationTooLargeError(
             f"a codeword of length {spec.p}^{spec.e} packs into "
             f"{_field_bits(spec.p)}*{spec.p}^{spec.e} bits, "
@@ -155,15 +143,11 @@ def _gray_supports(spec):
         yield union if p == 2 else (union + nonzero_bias) & high
 
 
-def _family(spec) -> dict:
-    """The cached minima of the codes C_j of spec's (field, e), marked most
-    recently used; the least recently used family beyond _FAMILIES is dropped."""
-    key = (spec.field, spec.e)
-    family = _minima.pop(key, {})
-    _minima[key] = family
-    if len(_minima) > _FAMILIES:
-        del _minima[next(iter(_minima))]
-    return family
+@lru_cache(maxsize=_FAMILIES)
+def _family(field, e) -> dict:
+    """The cached minima of the codes C_j of (field, e), {j: (0, d_1, ..., d_n)};
+    the least recently used family beyond _FAMILIES is dropped."""
+    return {}
 
 
 def _min_weights(spec) -> tuple:
@@ -176,7 +160,7 @@ def _min_weights(spec) -> tuple:
     of C_i is folded slab by slab: after its first q^a - 1 supports, `best`
     holds the minima of C_{n-a}, which are kept for every j >= i.
     """
-    family = _family(spec)
+    family = _family(spec.field, spec.e)
     if spec.i in family:
         return family[spec.i]
     n, q = spec.n, spec.field.q

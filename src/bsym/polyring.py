@@ -12,7 +12,6 @@ field arithmetic take the field first, as gf.add(f, a, b) does.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb
 
 from . import gf
 from .errors import InvalidParameterError
@@ -51,7 +50,10 @@ def xminus1_pow(f: FieldParams, i: int) -> tuple:
     prime subfield 0..p-1, built by Lucas's theorem: with i = sum_d i_d p^d in
     base p, (x - 1)^i = prod_d (x^(p^d) - 1)^(i_d), and the digit factors
     occupy disjoint powers of x, so each factor lays i_d + 1 scaled copies of
-    the product so far, padded to p^d coefficients, side by side.
+    the product so far, padded to p^d coefficients, side by side.  A factor's
+    coefficients C(d, t) (-1)^(d-t) follow each from the last by
+    C(d, t+1) = C(d, t) (d - t) / (t + 1) mod p, as t + 1 <= d < p is
+    invertible mod p, so the time is linear in the length.
     """
     if i < 0:
         raise InvalidParameterError(f"exponent i={i} must be >= 0")
@@ -59,7 +61,9 @@ def xminus1_pow(f: FieldParams, i: int) -> tuple:
     out, scale = [1], 1          # (x - 1)^(i mod scale), scale = p^d
     while i:
         i, digit = divmod(i, p)
-        factor = [comb(digit, t) * (-1) ** (digit - t) % p for t in range(digit + 1)]
+        factor = [(-1) ** digit % p]
+        for t in range(digit):
+            factor.append(-factor[-1] * (digit - t) * pow(t + 1, -1, p) % p)
         out += [0] * (scale - len(out))
         out = [c * a % p for c in factor for a in out]
         scale *= p

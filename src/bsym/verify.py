@@ -24,7 +24,7 @@ from .bsymbol import (
     weight_b_oracle,
 )
 from .codes import CyclicCodeSpec
-from .errors import InvalidParameterError
+from .errors import EnumerationTooLargeError, InvalidParameterError
 from .gf import make_field
 from .polyring import poly
 
@@ -277,16 +277,18 @@ def run_formula_suite(cfg: SuiteConfig) -> SuiteReport:
 
 def _grid_records(cfg: SuiteConfig, rep: SuiteReport):
     """Yield (spec, rows for b = 2..b_max) for each code of the grid; the
-    codes above the cap are tallied in `rep` as `skipped_cap` instead."""
+    codes the engine refuses are tallied in `rep` as `skipped_cap` instead."""
     for p, e, m in cfg.grid:
         f = make_field(p, m)
         for i in range(p ** e + 1):
             spec = CyclicCodeSpec(f, e, i)
-            if engine.above_cap(spec, cfg.cap):
+            try:
+                records = [codes.build_record(spec, b, cfg.cap)
+                           for b in range(2, min(cfg.b_max, spec.n) + 1)]
+            except EnumerationTooLargeError:
                 rep.skip("skipped_cap")
                 continue
-            yield spec, [codes.build_record(spec, b, cfg.cap)
-                         for b in range(2, min(cfg.b_max, spec.n) + 1)]
+            yield spec, records
 
 
 def _inputs(spec: CyclicCodeSpec, **extra) -> dict:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from bsym import cli, codes, gf
+from bsym import cli, codes, gf, verify
 from bsym.cli import main
 
 GOLDEN = "0,0,1,3,0,5,0,0,0,2,0,7,0,0,0"
@@ -236,10 +236,16 @@ def test_cap_refusal_is_one_short_line(capsys):
 
 
 def test_verify_honours_the_cap(capsys):
-    code, out, _ = run(capsys, "verify", "--suite", "code", "--cap", "100")
+    """Each grid suite skips exactly the grid codes with q^k_dim above the cap."""
+    code, out, _ = run(capsys, "verify", "--suite", "all", "--seed", "42",
+                       "--trials", "10", "--cap", "100")
     assert code == 0
-    report = json.loads(out)["code"]
-    assert report["passed"] and report["coverage"]["skipped_cap"] > 0
+    above = sum(gf.make_field(p, m).q ** (p ** e - i) > 100
+                for p, e, m in verify.DEFAULT_GRID for i in range(p ** e + 1))
+    assert above == 11
+    skipped = {name: report["coverage"].get("skipped_cap")
+               for name, report in json.loads(out).items()}
+    assert skipped == {"code": above, "bounds": above, "formula": None, "lemma": None}
 
 
 def test_verify_default_cap_skips_nothing(capsys):

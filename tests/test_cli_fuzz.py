@@ -189,3 +189,11 @@ LONG_CODES = [(e, str(2 ** e - 3)) for e in (40, 200)]
 ], ids=[f"{cmd}-e{e}" for cmd in ("code", "table") for e, _ in LONG_CODES])
 def test_a_long_code_is_refused_under_the_default_cap(argv):
     assert _check(argv) == (1, "")
+
+
+def test_a_code_over_a_large_prime_runs_in_time():
+    """(x - 1)^(p-1) over F_10007 is built in linear time; with exact
+    binomials, about p^2/2 of them, it took about 16 s on 2 vCPU."""
+    code, out = _check(["code", "--p", "10007", "--e", "1", "--i", "10006",
+                        "--b", "2", "--method", "brute"])
+    assert code == 0 and out.endswith(" db_brute=10007 consistent=True\n")

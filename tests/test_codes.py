@@ -20,7 +20,6 @@ from bsym.codes import (
     lemma10_codeword,
     lemma10_weight,
     min_b_weight_bruteforce,
-    record_to_dict,
     thm11_decompositions,
 )
 from bsym.errors import BsymError, EnumerationTooLargeError, InvalidParameterError
@@ -177,19 +176,27 @@ def test_cap_checked_before_cached_minima():
         min_b_weight_bruteforce(s, 1, cap=100)
 
 
+def _refused(s, cap) -> bool:
+    try:
+        engine.refuse_above_cap(s, cap)
+    except EnumerationTooLargeError:
+        return True
+    return False
+
+
 @pytest.mark.parametrize("cap", [1, 2, 3, 7, 8, 9, 63, 64, 65, 80, 81, 82, 2 ** 22])
 def test_above_cap_agrees_with_size(cap):
     for f, e in [(Z2, 3), (Z3, 2), (make_field(2, 2), 2), (Z5, 1), (make_field(3, 2), 1)]:
         for i in range(f.p ** e + 1):
             s = spec(f, e, i)
-            assert engine.above_cap(s, cap) == (s.field.q ** s.k_dim > cap), (f, e, i)
+            assert _refused(s, cap) == (s.field.q ** s.k_dim > cap), (f, e, i)
 
 
 def test_above_cap_does_not_build_the_code_size():
     s = spec(Z2, 26, 1)          # 2^(2^26 - 1) codewords: an 8 MiB integer
     tracemalloc.start()
     try:
-        assert engine.above_cap(s, 2 ** 22)
+        assert _refused(s, 2 ** 22)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -205,7 +212,7 @@ def test_a_packed_word_above_the_bound_is_refused(f, e, admitted):
     """W * n bits per packed word, W = 1 for p = 2 and 3 for p = 3, against
     2^22; a small dimension keeps every code below the cap."""
     s = spec(f, e, f.p ** e - 3)
-    assert engine.above_cap(s, engine.DEFAULT_CAP) == (not admitted)
+    assert _refused(s, engine.DEFAULT_CAP) == (not admitted)
     if not admitted:
         with pytest.raises(EnumerationTooLargeError, match="above the brute-force bound"):
             min_b_weight_bruteforce(s, 2)
@@ -263,7 +270,16 @@ def test_engine_minima_match_reference_for_every_b(p, e, m, i):
         assert min_b_weight_bruteforce(s, b) == expected[b], b
 
 
-def _count_evaluated(monkeypatch):
+@pytest.fixture
+def no_cached_minima():
+    """The engine's cache of minima, emptied before the test and after it."""
+    engine._family.cache_clear()
+    yield
+    engine._family.cache_clear()
+
+
+@pytest.fixture
+def evaluated(monkeypatch, no_cached_minima):
     """[generator checks, walked supports] of the engine from now on, with an
     empty cache of minima."""
     counts = [0, 0]
@@ -280,7 +296,6 @@ def _count_evaluated(monkeypatch):
 
     monkeypatch.setattr(engine, "_gray_supports", counting_walk)
     monkeypatch.setattr(engine, "_generator_support", counting_check)
-    monkeypatch.setattr(engine, "_minima", {})
     return counts
 
 
@@ -290,11 +305,10 @@ def _count_evaluated(monkeypatch):
     (Z2, 3, 3, 2 ** 5 - 1),
     (make_field(2, 2), 2, 1, 4 ** 3 - 1),
 ])
-def test_engine_stops_early_only_when_every_b_floors(monkeypatch, f, e, i, walked):
-    counts = _count_evaluated(monkeypatch)
+def test_engine_stops_early_only_when_every_b_floors(evaluated, f, e, i, walked):
     s = spec(f, e, i)
     minima = engine._min_weights(s)
-    checks, supports = counts
+    checks, supports = evaluated
     assert checks == 1                   # the generator, tried alone, once
     if i == 0:
         # the generator 1 is the one word evaluated: every d_b is at its floor b
@@ -304,16 +318,15 @@ def test_engine_stops_early_only_when_every_b_floors(monkeypatch, f, e, i, walke
         assert supports == walked        # dropped, and the whole code walked
 
 
-def test_table_sweep_walks_the_largest_code_once(monkeypatch):
+def test_table_sweep_walks_the_largest_code_once(evaluated):
     """`table --p 2 --e 4 --b 2..6`: C_0 answers by its generator, the walk
     of C_1 answers every smaller code, and C_16 is the zero code."""
-    counts = _count_evaluated(monkeypatch)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert main(["table", "--p", "2", "--e", "4", "--b", "2..6",
                      "--format", "csv"]) == 0
-    assert counts == [2, 2 ** 15 - 1]
-    assert sum(counts) <= 32_770         # 65,520 when each code was walked alone
+    assert evaluated == [2, 2 ** 15 - 1]
+    assert sum(evaluated) <= 32_770      # 65,520 when each code was walked alone
     assert out.getvalue().count("\n") == 1 + 17 * 5
 
 
@@ -322,7 +335,7 @@ NESTED_FAMILIES = [(2, 1, 1), (2, 2, 1), (2, 3, 1), (2, 4, 1), (3, 1, 1), (3, 2,
 
 
 @pytest.mark.parametrize("p,e,m", NESTED_FAMILIES)
-def test_cached_minima_match_reference_in_either_order(monkeypatch, p, e, m):
+def test_cached_minima_match_reference_in_either_order(no_cached_minima, p, e, m):
     """Every code of the family with q^k <= 2^12, requested with i rising (one
     walk answers the rest from the cache) and falling (each code walked
     again), against enumerate_codewords and weight_b_oracle."""
@@ -330,21 +343,31 @@ def test_cached_minima_match_reference_in_either_order(monkeypatch, p, e, m):
     n = p ** e
     indices = [i for i in range(n) if f.q ** (n - i) <= 2 ** 12]
     for order in (indices, indices[::-1]):
-        monkeypatch.setattr(engine, "_minima", {})
+        engine._family.cache_clear()
         for i in order:
             assert engine._min_weights(spec(f, e, i)) == _reference(p, e, m, i)[1], \
                 (i, order[0])
 
 
-def test_the_minima_cache_keeps_the_most_recently_used_families(monkeypatch):
-    monkeypatch.setattr(engine, "_minima", {})
+def test_the_minima_cache_keeps_the_most_recently_used_families(evaluated):
+    """The last _FAMILIES families asked for keep their minima, and the
+    least recently used one is walked again."""
+    def walked(s) -> bool:
+        before = evaluated[1]
+        engine._min_weights(s)
+        return evaluated[1] > before
+
     for e in range(1, engine._FAMILIES + 2):
-        engine._min_weights(spec(Z2, e, 2 ** e - 1))
-    assert list(engine._minima) == [(Z2, e) for e in range(2, engine._FAMILIES + 2)]
-    engine._min_weights(spec(Z2, 2, 3))             # a hit makes (Z2, 2) the most recent
-    engine._min_weights(spec(Z3, 1, 2))
-    assert (Z2, 2) in engine._minima and (Z2, 3) not in engine._minima
-    assert len(engine._minima) == engine._FAMILIES
+        assert walked(spec(Z2, e, 2 ** e - 1))
+    info = engine._family.cache_info()
+    assert (info.misses, info.currsize) == (engine._FAMILIES + 1, engine._FAMILIES)
+    assert not walked(spec(Z2, 2, 3))        # a hit makes (Z2, 2) the most recent
+    assert walked(spec(Z3, 1, 2))            # and (Z2, 3), the oldest, is dropped
+    assert engine._family.cache_info().hits == info.hits + 1
+    assert not walked(spec(Z2, 17, 2 ** 17 - 1))
+    assert not walked(spec(Z2, 2, 3))
+    assert walked(spec(Z2, 3, 7))
+    assert engine._family.cache_info().currsize == engine._FAMILIES
 
 
 # codes too large for the old enumeration; Thm11 with k >= 2 fires on them
@@ -398,6 +421,24 @@ def test_closed_form_cor2_interval():
     assert res.value is None
     assert res.interval == (3 + 4, 15)
     assert res.intervals[0][0] == "Cor2"
+
+
+def test_each_end_of_each_sandwich_is_met_on_the_grid():
+    """On the verify grid's rows, b = 2..6, each end of the Prop7 and Cor2
+    intervals equals the brute-force d_b on some row, so an interval widened
+    at either end fails here."""
+    met = {"Prop7": set(), "Cor2": set()}
+    for p, e, m in DEFAULT_GRID:
+        for i in range(p ** e + 1):
+            s = spec(make_field(p, m), e, i)
+            for b in range(2, min(6, s.n) + 1):
+                brute = min_b_weight_bruteforce(s, b)
+                for source, (lo, hi) in closed_form_db(s, b).intervals:
+                    if lo == brute:
+                        met[source].add("lower")
+                    if hi == brute:
+                        met[source].add("upper")
+    assert met == {"Prop7": {"lower", "upper"}, "Cor2": {"lower", "upper"}}
 
 
 def _sandwiches(s, b):
@@ -581,13 +622,6 @@ def test_build_record_interval_row():
     assert rec.db_closed.value is None
     assert rec.db_closed.interval == (7, 15)
     assert rec.consistent
-
-
-def test_record_to_dict_columns():
-    from bsym.codes import CSV_COLUMNS
-
-    d = record_to_dict(build_record(spec(Z3, 2, 7), 2))
-    assert list(d) == CSV_COLUMNS
 
 
 # --- the shared consistency check ------------------------------------------

@@ -45,7 +45,7 @@ def _names(code) -> set:
 
 
 def test_engine_defines_what_codes_calls():
-    assert {"_min_weights", "refuse_above_cap", "above_cap"} <= set(_defined_in(engine))
+    assert {"_min_weights", "refuse_above_cap"} <= set(_defined_in(engine))
 
 
 @pytest.mark.parametrize("name", CLOSED_FORMS)

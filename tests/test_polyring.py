@@ -1,4 +1,5 @@
 import time
+from math import comb
 
 import pytest
 
@@ -63,6 +64,19 @@ def test_xminus1_pow_is_repeated_multiplication(f):
     for i in range(201):
         assert xminus1_pow.__wrapped__(f, i) == expected, i
         expected = poly_mul(f, expected, base)
+
+
+SMALL_PRIMES = [p for p in range(2, 200) if all(p % d for d in range(2, p))]
+
+
+@pytest.mark.parametrize("p", SMALL_PRIMES)
+def test_a_digit_factor_is_the_binomial_row(p):
+    """(x - 1)^d for one base-p digit d < p is the factor the running binomial
+    builds, against C(d, t) (-1)^(d-t) mod p from exact binomials."""
+    f = make_field(p)
+    for d in range(p):
+        expected = tuple(comb(d, t) * (-1) ** (d - t) % p for t in range(d + 1))
+        assert xminus1_pow.__wrapped__(f, d) == expected, d
 
 
 def test_xminus1_pow_is_fast_at_a_large_exponent():
