@@ -24,6 +24,7 @@ seeded words and binary sweep.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import compress
 from operator import itemgetter, ne, truth
 
@@ -54,7 +55,13 @@ class RunPartition:
 
 
 _length = itemgetter(1)        # of a (start, length) pair
-_LANES = {}    # n -> 0x7F and 0x80 in each of n byte lanes, for <= 64 lengths
+
+
+@lru_cache(maxsize=64)
+def _lanes(n: int) -> tuple:
+    """(lo, hi): 0x7F and 0x80 in each of n byte lanes."""
+    hi = int.from_bytes(b"\x80" * n, "little")
+    return hi - (hi >> 7), hi
 
 
 def _check_width(b: int, n: int, lo: int = 1):
@@ -121,13 +128,7 @@ def _marked_windows(d: int, n: int, b: int) -> int:
     a row are unmarked, so neither are the b >= 2*span lanes of any window,
     and all n windows count.
     """
-    try:
-        lo, hi = _LANES[n]
-    except KeyError:
-        if len(_LANES) == 64:
-            _LANES.clear()
-        hi = int.from_bytes(b"\x80" * n, "little")
-        lo, hi = _LANES[n] = hi - (hi >> 7), hi
+    lo, hi = _lanes(n)
     a = hi & ~(((d & lo) + lo) | d)   # the high bit of each unmarked lane
     acc = a | a << 8 * n         # twice, for the windows that wrap around
     span = 1                     # acc ANDs shifts 0 .. span-1

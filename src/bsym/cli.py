@@ -75,11 +75,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_code.add_argument("--m", type=int, default=1)
     p_code.add_argument("--i", type=int, required=True)
     p_code.add_argument("--b", type=int, required=True)
-    p_code.add_argument("--method", choices=["closed", "brute", "both"],
-                        default="both")
+    p_code.add_argument("--method", choices=["closed", "brute"], default="brute")
     p_code.add_argument("--cap", type=int, default=engine.DEFAULT_CAP)
-    p_code.add_argument("--format", choices=["plain", "csv", "json"],
-                        default="plain")
 
     p_table = sub.add_parser("table", help="sweep i and b, emit CSV/JSON rows")
     p_table.add_argument("--p", type=int, required=True)
@@ -88,7 +85,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--b", required=True, help="range a..b or single value")
     p_table.add_argument("--i", default=None, help="range a..b; default 0..p^e")
     p_table.add_argument("--format", choices=["csv", "json"], default="csv")
-    p_table.add_argument("--out", default=None)
     p_table.add_argument("--cap", type=int, default=engine.DEFAULT_CAP)
     p_table.add_argument("--no-brute", action="store_true")
 
@@ -130,48 +126,42 @@ def _cap(args) -> int:
     return args.cap
 
 
-def _emit_records(records, fmt: str, out_path) -> bool:
-    """Write each record as it comes; True when every one is consistent.
+def _emit_records(records, fmt: str) -> bool:
+    """Write each record to stdout as it comes; True when every one is
+    consistent.
 
     The CSV header is the first record's keys.  The JSON is the layout of
     json.dump(list, indent=2), one item at a time.
     """
     consistent = True
-    stream = open(out_path, "w", newline="") if out_path else sys.stdout
-    try:
+    if fmt == "csv":
+        writer = csv.writer(sys.stdout)
+    else:
+        sys.stdout.write("[")
+    rows = 0
+    for rec in records:
+        d = record_to_dict(rec)
+        consistent = consistent and d["consistent"]
         if fmt == "csv":
-            writer = csv.writer(stream)
+            if not rows:
+                writer.writerow(d.keys())
+            writer.writerow(["" if v is None else v for v in d.values()])
         else:
-            stream.write("[")
-        rows = 0
-        for rec in records:
-            d = record_to_dict(rec)
-            consistent = consistent and d["consistent"]
-            if fmt == "csv":
-                if not rows:
-                    writer.writerow(d.keys())
-                writer.writerow(["" if v is None else v for v in d.values()])
-            else:
-                item = json.dumps(d, indent=2).replace("\n", "\n  ")
-                stream.write(f"{',' if rows else ''}\n  {item}")
-            rows += 1
-        if fmt == "json":
-            stream.write("\n]\n")
-    finally:
-        if out_path:
-            stream.close()
+            item = json.dumps(d, indent=2).replace("\n", "\n  ")
+            sys.stdout.write(f"{',' if rows else ''}\n  {item}")
+        rows += 1
+    if fmt == "json":
+        sys.stdout.write("\n]\n")
     return consistent
 
 
 def _cmd_code(args) -> int:
     spec = CyclicCodeSpec(make_field(args.p, args.m), args.e, args.i)
     cap = _cap(args)
-    rec = build_record(spec, args.b, cap, with_brute=args.method in ("brute", "both"))
-    if args.format == "plain":
-        d = record_to_dict(rec)
-        print(" ".join(f"{k}={'' if v is None else v}" for k, v in d.items()))
-        return 0 if rec.consistent else 2
-    return 0 if _emit_records([rec], args.format, None) else 2
+    rec = build_record(spec, args.b, cap, with_brute=args.method == "brute")
+    d = record_to_dict(rec)
+    print(" ".join(f"{k}={'' if v is None else v}" for k, v in d.items()))
+    return 0 if rec.consistent else 2
 
 
 def _cmd_table(args) -> int:
@@ -190,11 +180,10 @@ def _cmd_table(args) -> int:
     # largest code, test every width and the cap, then a bad i_hi.
     spec = CyclicCodeSpec(f, args.e, i_lo)
     first = [build_record(spec, b, cap, with_brute) for b in widths]
-    if i_hi > n:
-        raise InvalidParameterError(f"i={i_hi} outside [0, {n}]")
+    CyclicCodeSpec(f, args.e, i_hi)          # raises for an i_hi above n
     rest = (build_record(CyclicCodeSpec(f, args.e, i), b, cap, with_brute)
             for i in range(i_lo + 1, i_hi + 1) for b in widths)
-    return 0 if _emit_records(chain(first, rest), args.format, args.out) else 2
+    return 0 if _emit_records(chain(first, rest), args.format) else 2
 
 
 def _cmd_verify(args) -> int:

@@ -154,7 +154,8 @@ def min_b_weight_bruteforce(
     if spec.i == spec.n:
         return 0
     engine.refuse_above_cap(spec, cap)
-    return engine._min_weights(spec)[b]
+    minima = engine._min_weights(spec)
+    return minima[b] if b < len(minima) else spec.n
 
 
 def thm11_decompositions(spec: CyclicCodeSpec, b: int):

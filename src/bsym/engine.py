@@ -145,13 +145,15 @@ def _gray_supports(spec):
 
 @lru_cache(maxsize=_FAMILIES)
 def _family(field, e) -> dict:
-    """The cached minima of the codes C_j of (field, e), {j: (0, d_1, ..., d_n)};
+    """The cached minima of the codes C_j of (field, e), {j: _min_weights(C_j)};
     the least recently used family beyond _FAMILIES is dropped."""
     return {}
 
 
 def _min_weights(spec) -> tuple:
-    """(0, d_1, ..., d_n): minimum nonzero b-weight of C_i (i < n) for every b.
+    """(0, d_1, ..., d_{c-1}): minimum nonzero b-weight of C_i (i < n) for
+    each b below c, the first width with d_c = n.  d_b is nondecreasing in b,
+    so every d_b from b = c on is n, and the tuple stops before it.
 
     w_b of a support is the popcount of the OR of its first b rotations, built
     up one rotation per b until it covers all n positions.  The generator is
@@ -173,7 +175,7 @@ def _min_weights(spec) -> tuple:
         acc |= ((acc >> bits) | (acc << wrap)) & top
         b += 1
     if b == n:
-        family[spec.i] = tuple(range(n + 1))
+        family[spec.i] = tuple(range(n))
         return family[spec.i]
     best = [0] + [n] * n
     supports = _gray_supports(spec)
@@ -187,5 +189,5 @@ def _min_weights(spec) -> tuple:
                 if w < best[b]:
                     best[b] = w
                 acc |= ((acc >> bits) | (acc << wrap)) & top
-        family[n - a] = tuple(best)
+        family[n - a] = tuple(best[:best.index(n)])
     return family[spec.i]

@@ -53,14 +53,25 @@ def test_parse_generic_word_is_a_tuple():
 
 def test_code_row(capsys):
     code, out, _ = run(capsys, "code", "--p", "3", "--e", "2", "--i", "7",
-                       "--b", "2", "--method", "both")
+                       "--b", "2", "--method", "brute")
     assert code == 0
     assert "db_closed=9" in out and "db_brute=9" in out
     assert "consistent=True" in out
 
 
+def test_code_methods_are_closed_and_brute(capsys):
+    """brute, the default, prints the closed form beside the brute-force value."""
+    argv = ["code", "--p", "3", "--e", "2", "--i", "7", "--b", "2"]
+    assert run(capsys, *argv) == run(capsys, *argv, "--method", "brute")
+    code, out, err = run(capsys, *argv, "--method", "both")
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("usage error:")
+    assert "invalid choice: 'both'" in err
+
+
 def test_code_json(capsys):
-    code, out, _ = run(capsys, "code", "--p", "3", "--e", "2", "--i", "7",
+    """One code's row as JSON is the table of one i."""
+    code, out, _ = run(capsys, "table", "--p", "3", "--e", "2", "--i", "7..7",
                        "--b", "2", "--format", "json")
     assert code == 0
     row = json.loads(out)[0]
@@ -78,25 +89,13 @@ def test_table_csv_row_count(capsys):
     assert len(rows) == 1 + 10 * 2  # i in 0..9, two b values
 
 
-def test_table_empty_range(tmp_path, capsys):
-    path = tmp_path / "t.out"
+def test_table_empty_range(capsys):
     for argv in (["--b", "5..2"], ["--b", "2", "--i", "5..1"]):
         for fmt in ("csv", "json"):
             code, out, err = run(capsys, "table", "--p", "2", "--e", "3", *argv,
                                  "--format", fmt)
             assert code == 1 and out == ""
             assert err.count("\n") == 1 and "usage error: empty range" in err
-            code, _, _ = run(capsys, "table", "--p", "2", "--e", "3", *argv,
-                             "--format", fmt, "--out", str(path))
-            assert code == 1 and not path.exists()
-
-
-def test_table_out_file(tmp_path, capsys):
-    path = tmp_path / "t.csv"
-    code, _, _ = run(capsys, "table", "--p", "2", "--e", "2", "--b", "2",
-                     "--out", str(path))
-    assert code == 0
-    assert path.read_text().startswith("p,e,m,i,b,")
 
 
 def test_table_json(capsys):
@@ -146,7 +145,7 @@ def test_verify_byte_identical_output(capsys):
 
 def test_cap_option_refuses_a_larger_code(capsys):
     code, _, err = run(capsys, "code", "--p", "3", "--e", "2", "--i", "0",
-                       "--b", "2", "--method", "both", "--cap", "10")
+                       "--b", "2", "--method", "brute", "--cap", "10")
     assert code == 1
     assert "cap" in err
 
@@ -213,9 +212,11 @@ def test_code_large_prime_is_fast(capsys):
 @pytest.mark.parametrize("e", ["16000", "200000"])
 @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
 def test_code_refuses_a_length_above_8192_bits(capsys, e, fmt):
+    """`code` prints the plain line; one row as CSV or JSON is `table --i I..I`."""
+    argv = (["code", "--i", "5", "--method", "closed"] if fmt == "plain" else
+            ["table", "--i", "5..5", "--no-brute", "--format", fmt])
     t0 = time.perf_counter()
-    code, out, err = run(capsys, "code", "--p", "2", "--e", e, "--i", "5",
-                         "--b", "2", "--method", "closed", "--format", fmt)
+    code, out, err = run(capsys, *argv, "--p", "2", "--e", e, "--b", "2")
     assert time.perf_counter() - t0 < 1.0
     assert code == 1 and out == ""
     assert err == f"error: length p^e = 2^{e} is above 2^8192\n"
@@ -229,7 +230,7 @@ def test_table_bad_e_one_line(capsys):
 
 def test_cap_refusal_is_one_short_line(capsys):
     code, out, err = run(capsys, "code", "--p", "1009", "--e", "1", "--i", "3",
-                         "--b", "2", "--method", "both")
+                         "--b", "2", "--method", "brute")
     assert code == 1 and out == ""
     assert err.count("\n") == 1 and len(err) < 100
     assert "1009^1006 codewords" in err
@@ -307,14 +308,6 @@ def test_table_wrong_sandwich_exit_2(monkeypatch, capsys):
     assert [r["consistent"] for r in json.loads(out)] == [False] * 10
 
 
-@pytest.mark.parametrize("target", ["missing/t.csv", "."])
-def test_table_unwritable_out_one_line(tmp_path, capsys, target):
-    code, out, err = run(capsys, "table", "--p", "2", "--e", "2", "--b", "2",
-                         "--out", str(tmp_path / target))
-    assert code == 1 and out == ""
-    assert err.count("\n") == 1 and err.startswith("error:")
-
-
 def _limit_memory():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
@@ -354,25 +347,17 @@ def test_table_json_is_the_json_dump_layout(capsys, argv):
     ["--b", "2", "--cap", "100"],    # C_0 has 256 codewords
 ])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_table_error_writes_nothing(tmp_path, capsys, argv, fmt):
+def test_table_error_writes_nothing(capsys, argv, fmt):
     code, out, err = run(capsys, "table", "--p", "2", "--e", "3", *argv,
                          "--format", fmt)
     assert code == 1 and out == "" and err.count("\n") == 1
-    path = tmp_path / "t.out"
-    code, _, _ = run(capsys, "table", "--p", "2", "--e", "3", *argv,
-                     "--format", fmt, "--out", str(path))
-    assert code == 1 and not path.exists()
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_table_names_the_given_i_above_n(tmp_path, capsys, fmt):
+def test_table_names_the_given_i_above_n(capsys, fmt):
     argv = ["table", "--p", "2", "--e", "3", "--b", "2", "--i", "5..20",
             "--format", fmt]
-    code, out, err = run(capsys, *argv)
-    assert (code, out, err) == (1, "", "error: i=20 outside [0, 8]\n")
-    path = tmp_path / "t.out"
-    assert run(capsys, *argv, "--out", str(path))[0] == 1
-    assert not path.exists()
+    assert run(capsys, *argv) == (1, "", "error: i=20 outside [0, 8]\n")
 
 
 @pytest.mark.parametrize("option,line", [
@@ -423,16 +408,13 @@ def test_pi_windows_are_streamed():
     ["--p", "3", "--e", "2", "--b", "2", "--i", "0..1048576"],
 ])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_table_refuses_more_than_max_rows(tmp_path, capsys, argv, fmt):
+def test_table_refuses_more_than_max_rows(capsys, argv, fmt):
     t0 = time.perf_counter()
     code, out, err = run(capsys, "table", *argv, "--format", fmt)
     assert time.perf_counter() - t0 < 1.0
     assert code == 1 and out == ""
     assert err == (f"usage error: the table has more than {cli.MAX_TABLE_ROWS} rows: "
                    "narrow --i or --b\n")
-    path = tmp_path / "t.out"
-    assert run(capsys, "table", *argv, "--format", fmt, "--out", str(path))[0] == 1
-    assert not path.exists()
 
 
 def test_code_refuses_a_large_extension_degree_one_line(capsys):
@@ -455,8 +437,8 @@ def test_code_over_the_largest_field_does_not_search_for_a_modulus(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["table", "--p", "2", "--e", "3", "--m", "2", "--b", "2..4"],
-    ["code", "--p", "3", "--e", "2", "--m", "2", "--i", "4", "--b", "2", "--method", "both"],
-    ["code", "--p", "5", "--e", "1", "--m", "2", "--i", "2", "--b", "2", "--method", "both"],
+    ["code", "--p", "3", "--e", "2", "--m", "2", "--i", "4", "--b", "2"],
+    ["code", "--p", "5", "--e", "1", "--m", "2", "--i", "2", "--b", "2"],
     ["verify", "--suite", "code", "--trials", "10"],
 ])
 def test_no_command_reads_the_modulus(capsys, monkeypatch, argv):
@@ -472,9 +454,12 @@ def test_no_command_reads_the_modulus(capsys, monkeypatch, argv):
     ["code", "--p", "2", "--e", "2", "--m", "2", "--modulus", "1,1,1", "--i", "1",
      "--b", "2"],
     ["verify", "--suite", "lemma", "--trials", "10", "--format", "json"],
+    ["code", "--p", "3", "--e", "2", "--i", "7", "--b", "2", "--format", "json"],
+    ["table", "--p", "2", "--e", "2", "--b", "2", "--out", "t.csv"],
 ])
 def test_removed_options_are_refused_one_line(capsys, argv):
-    """A field is (p, m), and verify prints JSON only: neither takes an option."""
+    """A field is (p, m), verify prints JSON only, code prints its plain line
+    only, and table writes to stdout only: none takes an option for it."""
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert err.count("\n") == 1 and "unrecognized arguments" in err

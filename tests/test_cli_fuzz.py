@@ -68,8 +68,7 @@ def _commands(ints, primes, words, ranges):
                  {"method": st.sampled_from(["formula", "oracle", "both"])}),
         _command("code", {"p": primes, "e": ints, "i": ints, "b": ints, "cap": any_caps},
                  {"m": ints,
-                  "method": st.sampled_from(["closed", "brute", "both"]),
-                  "format": st.sampled_from(["plain", "csv", "json"])}),
+                  "method": st.sampled_from(["closed", "brute"])}),
         _command("table", {"p": primes, "e": ints, "b": ranges, "i": ranges,
                            "cap": any_caps},
                  {"m": ints,
@@ -96,8 +95,8 @@ plausible = [
     lengths.flatmap(lambda n: _command(
         "dist", {"b": st.integers(1, n), "x": _word(n), "y": _word(n)}, {})),
     _command("code", {**code_options, "i": st.integers(0, 9), "b": st.integers(2, 6),
-                      "method": st.sampled_from(["closed", "both"]), "cap": caps},
-             {"format": st.sampled_from(["plain", "csv", "json"])}),
+                      "method": st.sampled_from(["closed", "brute"]), "cap": caps},
+             {}),
     _command("table", {**code_options, "b": _range(2, 5), "i": _range(0, 9), "cap": caps},
              {"no_brute": st.none()}),
     _command("code", {"p": st.sampled_from([2 ** 61 - 1, 10 ** 18 + 3]),

@@ -305,7 +305,7 @@ def evaluated(monkeypatch, no_cached_minima):
     (Z2, 3, 3, 2 ** 5 - 1),
     (make_field(2, 2), 2, 1, 4 ** 3 - 1),
 ])
-def test_engine_stops_early_only_when_every_b_floors(evaluated, f, e, i, walked):
+def test_engine_stops_early_only_when_every_b_floors(evaluated, padded, f, e, i, walked):
     s = spec(f, e, i)
     minima = engine._min_weights(s)
     checks, supports = evaluated
@@ -313,7 +313,7 @@ def test_engine_stops_early_only_when_every_b_floors(evaluated, f, e, i, walked)
     if i == 0:
         # the generator 1 is the one word evaluated: every d_b is at its floor b
         assert (checks, supports) == (walked, 0)
-        assert minima == tuple(range(s.n + 1))
+        assert padded(minima, s.n) == tuple(range(s.n + 1))
     else:
         assert supports == walked        # dropped, and the whole code walked
 
@@ -335,7 +335,7 @@ NESTED_FAMILIES = [(2, 1, 1), (2, 2, 1), (2, 3, 1), (2, 4, 1), (3, 1, 1), (3, 2,
 
 
 @pytest.mark.parametrize("p,e,m", NESTED_FAMILIES)
-def test_cached_minima_match_reference_in_either_order(no_cached_minima, p, e, m):
+def test_cached_minima_match_reference_in_either_order(no_cached_minima, padded, p, e, m):
     """Every code of the family with q^k <= 2^12, requested with i rising (one
     walk answers the rest from the cache) and falling (each code walked
     again), against enumerate_codewords and weight_b_oracle."""
@@ -345,8 +345,22 @@ def test_cached_minima_match_reference_in_either_order(no_cached_minima, p, e, m
     for order in (indices, indices[::-1]):
         engine._family.cache_clear()
         for i in order:
-            assert engine._min_weights(spec(f, e, i)) == _reference(p, e, m, i)[1], \
-                (i, order[0])
+            assert padded(engine._min_weights(spec(f, e, i)), n) == \
+                _reference(p, e, m, i)[1], (i, order[0])
+
+
+@pytest.mark.parametrize("p,e,m", NESTED_FAMILIES)
+def test_no_cached_minima_end_in_n(no_cached_minima, p, e, m):
+    """Each kept tuple stops before the first width whose d_b is n, both for
+    the generator at the floor (C_0) and for every code the walk passes."""
+    f = make_field(p, m)
+    n = p ** e
+    walked = min(i for i in range(1, n) if f.q ** (n - i) <= 2 ** 12)
+    for i in (0, walked):
+        engine._min_weights(spec(f, e, i))
+    cached = engine._family(f, e)
+    assert sorted(cached) == [0, *range(walked, n)]
+    assert all(minima[-1] < n for minima in cached.values())
 
 
 def test_the_minima_cache_keeps_the_most_recently_used_families(evaluated):

@@ -4,9 +4,9 @@ Each command runs in a fresh interpreter with PYTHONPATH=src.  The digests
 fix the exact bytes of the verify JSON for three seeds, the CSV/JSON tables,
 the closed-form sweeps without brute force (up to length 2^8192, and its
 last ten rows, where the index split is deepest), a table over F_25, one
-brute-force row over F_9, one over a generator of degree 4080, the word
-paths of `pi` and `dist`, and the three demos; any change to them is a change of output, not a
-refactoring.  The three benchmark workloads are among them, each with the
+brute-force row over F_9 (and that row as a CSV and a JSON table), one over
+a generator of degree 4080, the word paths of `pi` and `dist`, and the three
+demos; any change to them is a change of output, not a refactoring.  The three benchmark workloads are among them, each with the
 digest of perfbench/recorded.json: `verify --suite all --seed 42 --trials
 100000` (1,653 refills of the seeded streams), `table --p 2 --e 4 --b 2..6
 --format csv` and the F_9 brute-force row.
@@ -49,6 +49,12 @@ GOLDEN = [
     (CLI + ["code", "--p", "3", "--e", "2", "--m", "2", "--i", "4", "--b", "2",
             "--method", "brute"],
      "a4c3b615e80fe8edc2ecede615bf2fbb78eb501a0e0ce36670b52f2842f6ce8e"),
+    (CLI + ["table", "--p", "3", "--e", "2", "--m", "2", "--i", "4..4", "--b", "2",
+            "--format", "csv"],
+     "f44e87d4e3500802f3f8b973803834ff1d2811e9472f2925a84f01e2c3b48b29"),
+    (CLI + ["table", "--p", "3", "--e", "2", "--m", "2", "--i", "4..4", "--b", "2",
+            "--format", "json"],
+     "d35a0a7cd36d593cf45e194bf07ae27c6061058a0a12e027cd35950edd18f477"),
     (CLI + ["code", "--p", "2", "--e", "12", "--i", "4080", "--b", "2",
             "--method", "brute"],
      "f65c2dca45b14f7ea534a7817d4c4d072ddc09fb647ff093f335e3da3eb03187"),
