@@ -1,7 +1,8 @@
 """Command-line front end: subcommands pi, dist, code, table, verify.
 
-Exit status: 0 on success, 1 on operational errors, 2 when a mathematical
-inconsistency is detected (formula vs oracle mismatch, inconsistent record).
+Exit status: 0 on success, or when the reader of stdout closes it early; 1
+on operational errors; 2 when a mathematical inconsistency is detected
+(formula vs oracle mismatch, inconsistent record).
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from itertools import chain
 
@@ -228,9 +230,14 @@ def main(argv=None) -> int:
     try:
         argv = sys.argv[1:] if argv is None else argv
         args = _build_parser().parse_args(_join_list_values(argv))
-        return _COMMANDS[args.command](args)
+        status = _COMMANDS[args.command](args)
+        sys.stdout.flush()           # a write error is raised here, not at exit
+        return status
     except SystemExit as exc:        # --help
         return 1 if exc.code not in (0, None) else 0
+    except BrokenPipeError:          # the reader stopped early, as `| head` does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from itertools import product
 
-from . import engine, gf
+from . import engine
 from .bsymbol import _check_width, weight_b_oracle
 from .errors import InvalidParameterError
 from .gf import FieldParams
@@ -123,27 +124,12 @@ def hamming_distance_formula(spec: CyclicCodeSpec) -> int:
 
 
 def enumerate_codewords(spec: CyclicCodeSpec, cap: int = engine.DEFAULT_CAP):
-    """All q^{k_dim} codewords as tuples, in deterministic message order."""
+    """All q^{k_dim} codewords m(x) (x-1)^i mod x^n - 1 as tuples, one for each
+    message m of degree below k_dim, the constant term changing slowest."""
     engine.refuse_above_cap(spec, cap)
-    f = spec.field
-    n = spec.n
-    gen_word = to_word(f, spec.generator(), n)
-    # precompute the cyclic shifts x^j * (x-1)^i as symbol tuples
-    shifts = []
-    for j in range(spec.k_dim):
-        shifts.append(tuple(gen_word[(t - j) % n] for t in range(n)))
-
-    def rec(j, acc):
-        if j == spec.k_dim:
-            yield tuple(acc)
-            return
-        yield from rec(j + 1, acc)
-        row = shifts[j]
-        for el in range(1, f.q):
-            nxt = [gf.add(f, a, gf.mul(f, el, r)) for a, r in zip(acc, row)]
-            yield from rec(j + 1, nxt)
-
-    yield from rec(0, [0] * n)
+    f, g = spec.field, spec.generator()
+    for message in product(range(f.q), repeat=spec.k_dim):
+        yield to_word(f, poly_mul(f, message, g), spec.n)
 
 
 def min_b_weight_bruteforce(

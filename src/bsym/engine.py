@@ -15,6 +15,7 @@ from .errors import EnumerationTooLargeError
 
 DEFAULT_CAP = 2 ** 22
 MAX_PACKED_BITS = 2 ** 22    # the largest packed codeword, W * n bits (see _field_bits)
+MAX_WORK_BITS = 2 ** 34      # the most bits a walk packs, (q^k - 1) * W * n
 _FAMILIES = 16               # the (field, e) families whose minima are kept
 
 
@@ -25,12 +26,15 @@ def _field_bits(p: int) -> int:
 
 
 def refuse_above_cap(spec, cap: int):
-    """Raise EnumerationTooLargeError above `cap` codewords or MAX_PACKED_BITS
-    bits a packed word, before anything of size n is built.
+    """Raise EnumerationTooLargeError above `cap` codewords, MAX_PACKED_BITS
+    bits a packed word or MAX_WORK_BITS bits a walk, before anything of size
+    n is built.
 
     q^k_dim is not built when it is far above the cap: q >= 2^(bl-1) for
     bl = q.bit_length(), so k_dim * (bl-1) >= the bit length of the cap puts
-    q^k_dim above it, and otherwise q^k_dim < cap^2.
+    q^k_dim above it, and otherwise q^k_dim < cap^2.  A walk costs about
+    4e-10 s a bit: a k = 1 code over F_20011, 6.4e9 bits, took 2.8 s (2 vCPU
+    Xeon, Python 3.11), so a walk at the work bound takes about 7 s.
     """
     q, k = spec.field.q, spec.k_dim
     if k * (q.bit_length() - 1) >= cap.bit_length() or q ** k > cap:
@@ -42,6 +46,11 @@ def refuse_above_cap(spec, cap: int):
             f"a codeword of length {spec.p}^{spec.e} packs into "
             f"{_field_bits(spec.p)}*{spec.p}^{spec.e} bits, "
             f"above the brute-force bound of {MAX_PACKED_BITS} bits")
+    if (q ** k - 1) * _field_bits(spec.p) * spec.n > MAX_WORK_BITS:
+        raise EnumerationTooLargeError(
+            f"a walk packs {q}^{k} - 1 codewords of "
+            f"{_field_bits(spec.p)}*{spec.p}^{spec.e} bits, "
+            f"above the work bound of {MAX_WORK_BITS} bits")
 
 
 def _packing(p: int, n: int):
@@ -57,15 +66,6 @@ def _packed_generator(spec, bits: int) -> int:
     own word."""
     digits = [format(c, f"0{bits}b") for c in range(spec.p)]
     return int("".join(map(digits.__getitem__, reversed(spec.generator()))), 2)
-
-
-def _generator_support(spec, bits: int, ones: int) -> int:
-    """The packed support of (x-1)^i, i < n: top bit of each field where the
-    coefficient is nonzero (see _gray_supports)."""
-    row = _packed_generator(spec, bits)
-    if spec.p == 2:
-        return row
-    return (row + ones * ((1 << (bits - 1)) - 1)) & (ones << (bits - 1))
 
 
 def _valuation(t: int, p: int) -> int:
@@ -94,8 +94,9 @@ def _gray_path(steps: list, p: int):
         yield from block
 
 
-def _gray_supports(spec):
-    """Yield the support of every nonzero codeword of C_i exactly once.
+def _gray_supports(spec, bits: int, ones: int, row: int):
+    """Yield the support of every nonzero codeword of C_i exactly once, from
+    the packed layout (see _packing) and the packed generator `row`.
 
     The code is walked over its F_p-basis beta_l * (x-1)^t (l < m, i <= t < n):
     the powers have distinct degrees below n and are multiples of (x-1)^i, so
@@ -109,15 +110,13 @@ def _gray_supports(spec):
     mod p (the bias makes a field's top bit flag a sum >= p).  A support has
     bit W*t + W - 1 set where position t is nonzero.
     """
-    p, m, n = spec.p, spec.m, spec.n
+    p, m = spec.p, spec.m
     if not spec.k_dim:
         return                            # the zero code has no nonzero word
-    bits, ones = _packing(p, n)
     high = ones << (bits - 1)             # the top bit of every field
     nonzero_bias = ones * ((1 << (bits - 1)) - 1)
     reduce_bias = ones * ((1 << (bits - 1)) - p)
     p_each = ones * p                     # p in every field
-    row = _packed_generator(spec, bits)
     rows = [row]
     for _ in range(1, spec.k_dim):        # row * (x - 1): deg row < n - 1, no wrap
         if p == 2:
@@ -169,7 +168,9 @@ def _min_weights(spec) -> tuple:
     bits, ones = _packing(spec.p, n)
     top = ones << (bits - 1)
     wrap = bits * (n - 1)
-    acc = _generator_support(spec, bits, ones)
+    row = _packed_generator(spec, bits)
+    # the generator's support: the top bit of each field with a nonzero digit
+    acc = row if spec.p == 2 else (row + ones * ((1 << (bits - 1)) - 1)) & top
     b = 1
     while b < n and acc.bit_count() == b:
         acc |= ((acc >> bits) | (acc << wrap)) & top
@@ -178,7 +179,7 @@ def _min_weights(spec) -> tuple:
         family[spec.i] = tuple(range(n))
         return family[spec.i]
     best = [0] + [n] * n
-    supports = _gray_supports(spec)
+    supports = _gray_supports(spec, bits, ones, row)
     for a in range(1, spec.k_dim + 1):
         for support in islice(supports, q ** a - q ** (a - 1)):
             acc = support

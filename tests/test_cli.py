@@ -372,18 +372,42 @@ def test_table_takes_a_range_that_starts_with_a_minus_sign(capsys, option, line)
     assert run(capsys, *argv, f"{option}=-1..2") == (1, "", line)
 
 
-def _peak_rss_mib(*argv: str) -> float:
-    """Peak RSS of a fresh `bsym` process, which must exit 0."""
+def _bsym(*argv: str, **kwargs) -> subprocess.Popen:
+    """A fresh `bsym` process on the source tree."""
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "bsym.cli", *argv],
-        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-    )
+    return subprocess.Popen([sys.executable, "-m", "bsym.cli", *argv], env=env, **kwargs)
+
+
+def _peak_rss_mib(*argv: str) -> float:
+    """Peak RSS of a fresh `bsym` process, which must exit 0."""
+    proc = _bsym(*argv, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     _, status, usage = os.wait4(proc.pid, 0)
     proc.returncode = os.waitstatus_to_exitcode(status)
     assert proc.returncode == 0
     return usage.ru_maxrss / 1024        # KiB on Linux
+
+
+def test_a_reader_that_stops_early_ends_the_table_quietly():
+    """`bsym table ... | head -1`: the header is read, the pipe is closed, and
+    bsym exits 0 with nothing on stderr."""
+    proc = _bsym("table", "--p", "2", "--e", "12", "--b", "2..3", "--no-brute",
+                 stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline().startswith(b"p,e,m,i,b,")
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 0
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_another_write_error_is_one_line_and_exit_1():
+    with open("/dev/full", "w") as full:
+        proc = _bsym("code", "--p", "3", "--e", "2", "--i", "4", "--b", "2",
+                     stdout=full, stderr=subprocess.PIPE)
+        _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert err == b"error: [Errno 28] No space left on device\n"
 
 
 def test_table_rows_are_streamed():
@@ -578,7 +602,10 @@ def test_the_full_name_takes_the_word_the_abbreviation_did_not(capsys):
       "--method", "brute"],
      "a codeword of length 2^40 packs into 1*2^40 bits, "
      "above the brute-force bound of 4194304 bits"),
-], ids=["not-prime", "width", "lengths", "index", "bad-cap", "cap", "packed-word"])
+    (["code", "--p", "65537", "--e", "1", "--i", "65536", "--b", "2", "--method", "brute"],
+     "a walk packs 65537^1 - 1 codewords of 18*65537^1 bits, "
+     "above the work bound of 17179869184 bits"),
+], ids=["not-prime", "width", "lengths", "index", "bad-cap", "cap", "packed-word", "work"])
 def test_refusal_lines(capsys, argv, line):
     """Each kind of refusal, byte for byte: exit 1 and one line on stderr."""
     assert run(capsys, *argv) == (1, "", f"error: {line}\n")

@@ -142,6 +142,25 @@ def test_enumerate_cap():
         list(enumerate_codewords(spec(Z3, 2, 0), cap=100))
 
 
+ENUMERATED_FAMILIES = [(2, 1, 1), (2, 2, 1), (2, 3, 1), (3, 1, 1), (3, 2, 1), (5, 1, 1),
+                       (7, 1, 1), (2, 1, 2), (2, 2, 2), (2, 3, 2), (3, 1, 2)]
+
+
+@pytest.mark.parametrize("p,e,m", ENUMERATED_FAMILIES)
+def test_enumerated_words_are_a_cyclic_code_of_q_to_the_k_words(p, e, m):
+    """Every code of the family with q^k <= 2^10: q^k distinct words of
+    length n, and each cyclic shift of a codeword is a codeword."""
+    f = make_field(p, m)
+    n = p ** e
+    for i in range(n + 1):
+        s = spec(f, e, i)
+        if f.q ** s.k_dim > 2 ** 10:
+            continue
+        words = set(enumerate_codewords(s))
+        assert len(words) == f.q ** s.k_dim and {len(w) for w in words} == {n}, i
+        assert {w[-1:] + w[:-1] for w in words} == words, i
+
+
 def test_enumerated_words_are_multiples_of_generator():
     s = spec(Z3, 2, 6)
     gen = to_word(Z3, s.generator(), 9)
@@ -190,6 +209,22 @@ def test_above_cap_agrees_with_size(cap):
         for i in range(f.p ** e + 1):
             s = spec(f, e, i)
             assert _refused(s, cap) == (s.field.q ** s.k_dim > cap), (f, e, i)
+
+
+@pytest.mark.parametrize("p,admitted", [(32749, True), (32771, False)])
+def test_the_work_bound_refuses_the_walk_just_above_it(no_cached_minima, p, admitted):
+    """A k = 1 code over F_p walks p - 1 words of W * p bits: W = 16 for
+    p = 32749, the largest prime below 2^15, just below 2^34 bits, and W = 17
+    for the next prime, 32771, above it.  Neither is walked here."""
+    s = spec(make_field(p), 1, p - 1)
+    work = (p - 1) * engine._field_bits(p) * p
+    assert engine.MAX_WORK_BITS * 7 // 8 < work < engine.MAX_WORK_BITS * 9 // 8
+    assert (work <= engine.MAX_WORK_BITS) == admitted
+    assert _refused(s, engine.DEFAULT_CAP) == (not admitted)
+    if not admitted:
+        with pytest.raises(EnumerationTooLargeError, match="above the work bound"):
+            min_b_weight_bruteforce(s, 2)
+    assert engine._family.cache_info().currsize == 0
 
 
 def test_above_cap_does_not_build_the_code_size():
@@ -249,10 +284,17 @@ def _unpack(mask, p, n):
     return sum(1 << j for j in range(n) if (mask >> (bits * j + bits - 1)) & 1)
 
 
+def _walk(s):
+    """engine._gray_supports of s, with the layout and row that _min_weights
+    hands it."""
+    bits, ones = engine._packing(s.p, s.n)
+    return engine._gray_supports(s, bits, ones, engine._packed_generator(s, bits))
+
+
 @pytest.mark.parametrize("p,e,m,i", CROSS_CHECK_SPECS)
 def test_gray_walk_yields_every_nonzero_support_once(p, e, m, i):
     s = spec(make_field(p, m), e, i)
-    walked = [_unpack(mask, p, s.n) for mask in engine._gray_supports(s)]
+    walked = [_unpack(mask, p, s.n) for mask in _walk(s)]
     q = s.field.q
     assert len(walked) == q ** s.k_dim - 1
     assert Counter(walked) == _reference(p, e, m, i)[0]
@@ -280,22 +322,22 @@ def no_cached_minima():
 
 @pytest.fixture
 def evaluated(monkeypatch, no_cached_minima):
-    """[generator checks, walked supports] of the engine from now on, with an
-    empty cache of minima."""
+    """[packed generators, walked supports] of the engine from now on, with
+    an empty cache of minima."""
     counts = [0, 0]
-    walk, check = engine._gray_supports, engine._generator_support
+    walk, pack = engine._gray_supports, engine._packed_generator
 
-    def counting_walk(s):
-        for support in walk(s):
+    def counting_walk(*args):
+        for support in walk(*args):
             counts[1] += 1
             yield support
 
-    def counting_check(*args):
+    def counting_pack(*args):
         counts[0] += 1
-        return check(*args)
+        return pack(*args)
 
     monkeypatch.setattr(engine, "_gray_supports", counting_walk)
-    monkeypatch.setattr(engine, "_generator_support", counting_check)
+    monkeypatch.setattr(engine, "_packed_generator", counting_pack)
     return counts
 
 
@@ -309,7 +351,7 @@ def test_engine_stops_early_only_when_every_b_floors(evaluated, padded, f, e, i,
     s = spec(f, e, i)
     minima = engine._min_weights(s)
     checks, supports = evaluated
-    assert checks == 1                   # the generator, tried alone, once
+    assert checks == 1                   # the generator, packed once for both uses
     if i == 0:
         # the generator 1 is the one word evaluated: every d_b is at its floor b
         assert (checks, supports) == (walked, 0)
