@@ -1,8 +1,8 @@
 """Command-line front end: subcommands pi, dist, code, table, verify.
 
-Exit status: 0 on success, or when the reader of stdout closes it early; 1
-on operational errors; 2 when a mathematical inconsistency is detected
-(formula vs oracle mismatch, inconsistent record).
+Exit status: 0 on success, 1 on operational errors, 2 when a mathematical
+inconsistency is detected (formula vs oracle mismatch, inconsistent record),
+also when found before the reader closed stdout; else a closed stdout is 0.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import csv
 import json
 import os
 import sys
+from contextlib import contextmanager
 from itertools import chain
 
 from . import engine, verify
@@ -21,6 +22,15 @@ from .errors import BsymError, InvalidParameterError, UsageError
 from .gf import make_field
 
 MAX_TABLE_ROWS = 2 ** 20     # i values times widths; p = 2, e = 16 has 65,537 a width
+
+
+@contextmanager
+def _until_the_reader_stops():
+    """Stop writing, quietly, when the reader closes stdout, as `| head` does."""
+    try:
+        yield
+    except BrokenPipeError:              # so that no later flush raises
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def parse_range(text: str):
@@ -109,16 +119,15 @@ def _cmd_pi(args) -> int:
 def _cmd_dist(args) -> int:
     x = parse_generic_word(args.x)
     y = parse_generic_word(args.y)
-    if args.method == "formula":
-        print(dist_b_formula(x, y, args.b))
-        return 0
-    if args.method == "oracle":
-        print(dist_b_oracle(x, y, args.b))
+    if args.method != "both":
+        dist = dist_b_formula if args.method == "formula" else dist_b_oracle
+        print(dist(x, y, args.b))
         return 0
     f = dist_b_formula(x, y, args.b)
     o = dist_b_oracle(x, y, args.b)
     match = f == o
-    print(f"formula={f} oracle={o} match={str(match).lower()}")
+    with _until_the_reader_stops():
+        print(f"formula={f} oracle={o} match={str(match).lower()}")
     return 0 if match else 2
 
 
@@ -129,8 +138,8 @@ def _cap(args) -> int:
 
 
 def _emit_records(records, fmt: str) -> bool:
-    """Write each record to stdout as it comes; True when every one is
-    consistent.
+    """Write each record to stdout as it comes; True when every one written
+    before the reader stopped is consistent.
 
     The CSV header is the first record's keys.  The JSON is the layout of
     json.dump(list, indent=2), one item at a time.
@@ -140,29 +149,28 @@ def _emit_records(records, fmt: str) -> bool:
         writer = csv.writer(sys.stdout)
     else:
         sys.stdout.write("[")
-    rows = 0
-    for rec in records:
-        d = record_to_dict(rec)
-        consistent = consistent and d["consistent"]
-        if fmt == "csv":
-            if not rows:
-                writer.writerow(d.keys())
-            writer.writerow(["" if v is None else v for v in d.values()])
-        else:
-            item = json.dumps(d, indent=2).replace("\n", "\n  ")
-            sys.stdout.write(f"{',' if rows else ''}\n  {item}")
-        rows += 1
-    if fmt == "json":
-        sys.stdout.write("\n]\n")
+    with _until_the_reader_stops():
+        for rows, rec in enumerate(records):
+            d = record_to_dict(rec)
+            consistent = consistent and d["consistent"]
+            if fmt == "csv":
+                if not rows:
+                    writer.writerow(d.keys())
+                writer.writerow(["" if v is None else v for v in d.values()])
+            else:
+                item = json.dumps(d, indent=2).replace("\n", "\n  ")
+                sys.stdout.write(f"{',' if rows else ''}\n  {item}")
+        if fmt == "json":
+            sys.stdout.write("\n]\n")
     return consistent
 
 
 def _cmd_code(args) -> int:
     spec = CyclicCodeSpec(make_field(args.p, args.m), args.e, args.i)
-    cap = _cap(args)
-    rec = build_record(spec, args.b, cap, with_brute=args.method == "brute")
+    rec = build_record(spec, args.b, _cap(args), with_brute=args.method == "brute")
     d = record_to_dict(rec)
-    print(" ".join(f"{k}={'' if v is None else v}" for k, v in d.items()))
+    with _until_the_reader_stops():
+        print(" ".join(f"{k}={'' if v is None else v}" for k, v in d.items()))
     return 0 if rec.consistent else 2
 
 
@@ -191,7 +199,8 @@ def _cmd_table(args) -> int:
 def _cmd_verify(args) -> int:
     cfg = verify.SuiteConfig(seed=args.seed, trials=args.trials, cap=_cap(args))
     reports = verify.run_suites(cfg, args.suite)
-    print(verify.report_json(reports))
+    with _until_the_reader_stops():
+        print(verify.report_json(reports))
     return 0 if all(r.passed for r in reports.values()) else 2
 
 
@@ -230,14 +239,13 @@ def main(argv=None) -> int:
     try:
         argv = sys.argv[1:] if argv is None else argv
         args = _build_parser().parse_args(_join_list_values(argv))
-        status = _COMMANDS[args.command](args)
-        sys.stdout.flush()           # a write error is raised here, not at exit
+        status = 0
+        with _until_the_reader_stops():
+            status = _COMMANDS[args.command](args)
+            sys.stdout.flush()       # a write error is raised here, not at exit
         return status
     except SystemExit as exc:        # --help
         return 1 if exc.code not in (0, None) else 0
-    except BrokenPipeError:          # the reader stopped early, as `| head` does
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -8,8 +8,9 @@ field and generator(); nothing here imports `codes`, whose
 `enumerate_codewords` is the slow reference.
 """
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import islice
+from operator import or_
 
 from .errors import EnumerationTooLargeError
 
@@ -32,9 +33,9 @@ def refuse_above_cap(spec, cap: int):
 
     q^k_dim is not built when it is far above the cap: q >= 2^(bl-1) for
     bl = q.bit_length(), so k_dim * (bl-1) >= the bit length of the cap puts
-    q^k_dim above it, and otherwise q^k_dim < cap^2.  A walk costs about
-    4e-10 s a bit: a k = 1 code over F_20011, 6.4e9 bits, took 2.8 s (2 vCPU
-    Xeon, Python 3.11), so a walk at the work bound takes about 7 s.
+    q^k_dim above it, and otherwise q^k_dim < cap^2.  A walked bit took 4e-10
+    to 2e-9 s by family, so a walk at the work bound took 7 to 34 s (2 vCPU
+    Xeon, Python 3.11; k = 1 over F_20011 and binary e = 12, k = 22).
     """
     q, k = spec.field.q, spec.k_dim
     if k * (q.bit_length() - 1) >= cap.bit_length() or q ** k > cap:
@@ -133,12 +134,7 @@ def _gray_supports(spec, bits: int, ones: int, row: int):
         else:
             s = planes[plane] + r
             planes[plane] = s - (((s + reduce_bias) & high) >> (bits - 1)) * p
-        if m == 1:
-            union = planes[0]
-        else:
-            union = 0
-            for x in planes:
-                union |= x
+        union = planes[0] if m == 1 else reduce(or_, planes)
         yield union if p == 2 else (union + nonzero_bias) & high
 
 

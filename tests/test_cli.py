@@ -400,6 +400,27 @@ def test_a_reader_that_stops_early_ends_the_table_quietly():
     proc.stderr.close()
 
 
+@pytest.mark.parametrize("buffering", [1, -1], ids=["line", "block"])
+@pytest.mark.parametrize("argv", [
+    ("code", "--p", "3", "--e", "2", "--i", "1", "--b", "2", "--method", "closed"),
+    ("table", "--p", "3", "--e", "2", "--b", "2", "--format", "json"),
+    ("verify", "--suite", "code", "--seed", "42", "--trials", "10", "--cap", "100"),
+], ids=lambda argv: argv[0])
+def test_a_closed_pipe_keeps_an_inconsistency_found_before_it(
+        monkeypatch, capsys, argv, buffering):
+    """The reader has closed stdout, at the first line written (line
+    buffering) or at the closing flush (block buffering); the exit-2 status
+    of a wrong sandwich survives, with nothing on stderr."""
+    monkeypatch.setattr(codes, "sandwiches",
+                        lambda s, b, d_h: [("Cor2", (s.n + 1, s.n + 1))])
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w", buffering=buffering) as closed:
+        monkeypatch.setattr(sys, "stdout", closed)
+        assert main(list(argv)) == 2
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 def test_another_write_error_is_one_line_and_exit_1():
     with open("/dev/full", "w") as full:
